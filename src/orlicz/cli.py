@@ -46,8 +46,6 @@ class RunConfig:
     """Parsed invocation: one command plus the knobs it consumes.
 
     Exactly one of preset / input_path may be set for data-driven commands.
-    eps parameterizes the library's upper-bound threshold check and is kept
-    here with its default for programmatic use; no subcommand consumes it.
     """
 
     command: str
@@ -58,7 +56,6 @@ class RunConfig:
     p_grid: str | None = None
     grid: str | None = None
     m: float = 1.0
-    eps: float = 0.1
     tol: float = 1e-10
     preset: str | None = None
     input_path: str | None = None
@@ -68,8 +65,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.tol <= 0.0:
             raise InputError(f"tol must be positive, got {self.tol}")
-        if self.eps <= 0.0:
-            raise InputError(f"eps must be positive, got {self.eps}")
         if self.shift not in _SHIFTS:
             raise InputError(f"shift must be one of {sorted(_SHIFTS)}, got {self.shift}")
         if self.command in ("norm", "sweep", "classical"):
@@ -183,7 +178,7 @@ def _emit(rows: list[dict], columns: list[str], cfg: RunConfig) -> None:
         Path(cfg.output).write_text(text)
 
 
-def _run_norm(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
+def _run_norm(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     mu, f = _load_data(cfg)
     A = YoungFunction.log_bump(cfg.p, cfg.q, shift=_SHIFTS[cfg.shift])
     res = luxemburg_norm(A, f, mu, cfg.tol)
@@ -195,24 +190,24 @@ def _run_norm(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
         "iterations": res.iterations,
         "status": res.status.value,
     }
-    return [([row], list(row))]
+    return [row], list(row)
 
 
-def _run_sweep(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
+def _run_sweep(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     mu, f = _load_data(cfg)
     report = limit_sweep(f, mu, cfg.p, parse_schedule(cfg.q_grid), cfg.tol)
     rows = convergence_rows(report, key="q")
-    return [(rows, list(rows[0]))]
+    return rows, list(rows[0])
 
 
-def _run_classical(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
+def _run_classical(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     mu, f = _load_data(cfg)
     report = classical_p_sweep(f, mu, parse_schedule(cfg.p_grid))
     rows = convergence_rows(report, key="p")
-    return [(rows, list(rows[0]))]
+    return rows, list(rows[0])
 
 
-def _run_bounds(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
+def _run_bounds(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     columns = [
         "q", "lambda", "lower_bound", "vacuous", "liminf_pass",
         "delta", "identity_pass", "bernoulli_pass", "pass",
@@ -238,10 +233,10 @@ def _run_bounds(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
             ok = ok and dr.passed
         row["pass"] = ok
         rows.append(row)
-    return [(rows, columns)]
+    return rows, columns
 
 
-def _run_check_young(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
+def _run_check_young(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     grid = parse_schedule(cfg.grid) if cfg.grid else default_grid()
     if cfg.q > 0:
         A = YoungFunction.log_bump(cfg.p, cfg.q, shift=_SHIFTS[cfg.shift])
@@ -252,10 +247,10 @@ def _run_check_young(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
         {"axiom": c.name, "passed": c.passed, "violation_t": c.violation_t}
         for c in report.checks
     ]
-    return [(rows, ["axiom", "passed", "violation_t"])]
+    return rows, ["axiom", "passed", "violation_t"]
 
 
-def _run_compare(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
+def _run_compare(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     grid = parse_schedule(cfg.grid) if cfg.grid else default_grid()
     A_e0 = YoungFunction.log_bump(cfg.p, cfg.q, shift=E0)
     A_e = YoungFunction.log_bump(cfg.p, cfg.q, shift=E)
@@ -265,7 +260,7 @@ def _run_compare(cfg: RunConfig) -> list[tuple[list[dict], list[str]]]:
         rows.append(
             {"direction": label, "c_estimate": res.c_estimate, "certified": res.certified}
         )
-    return [(rows, ["direction", "c_estimate", "certified"])]
+    return rows, ["direction", "c_estimate", "certified"]
 
 
 _COMMANDS = {
@@ -282,8 +277,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
     try:
         cfg.validate()
-        for rows, columns in _COMMANDS[cfg.command](cfg):
-            _emit(rows, columns, cfg)
+        _emit(*_COMMANDS[cfg.command](cfg), cfg)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, InputError, NumericError
 from .measure import DiscreteMeasure, SampledFunction, ess_sup, truncate
 from .norm import DEFAULT_TOL, luxemburg_norm, char_norm_closed_form, modular, p_norm
-from .young import E0, E, YoungFunction, compare, default_grid
+from .young import E0, E, YoungFunction, _validate_grid, compare, default_grid
 
 __all__ = [
     "BoundCheck",
@@ -376,11 +376,7 @@ class LogRatioRecord:
 def log_ratio_bound_check(c: float, grid) -> LogRatioRecord:
     if not c > 0.0 or not math.isfinite(c):
         raise DomainError(f"scale c must be finite and positive, got {c}")
-    pts = [float(t) for t in grid]
-    if not pts:
-        raise InputError("grid must be nonempty")
-    if any(not math.isfinite(t) or t <= 0.0 for t in pts):
-        raise InputError("grid points must be finite and strictly positive")
+    pts = _validate_grid(grid, require_sorted=False)
     ratios = [math.log(E0 + t) / math.log(E0 + c * t) for t in pts]
     lo, hi = min(ratios), max(ratios)
     return LogRatioRecord(c, lo, hi, lo > 0.0 and math.isfinite(hi))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .measure import DiscreteMeasure, SampledFunction, check_aligned
-from .young import YoungFunction
+from .young import YoungFunction, _bisect
 
 __all__ = [
     "NormStatus",
@@ -28,7 +28,6 @@ __all__ = [
     "p_norm",
 ]
 
-_MAX_ITER = 400
 DEFAULT_TOL = 1e-10
 
 
@@ -97,30 +96,18 @@ def luxemburg_norm(
     if lo > hi:  # identical in exact arithmetic when the support is one atom
         lo, hi = hi, lo
 
-    for iterations in range(1, _MAX_ITER + 1):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # bracket exhausted at machine precision
-            g = modular(A, f, mu, mid) - 1.0
-            if abs(g) <= tol or hi - lo <= tol * mid:
-                break
-            raise NumericError(
-                f"luxemburg_norm stalled: bracket [{lo!r}, {hi!r}], "
-                f"residual {g:.3e} > tol {tol:g}"
-            )
-        g = modular(A, f, mu, mid) - 1.0
-        if abs(g) <= tol:
-            break
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
+    lam, h, lo, hi, evaluations = _bisect(
+        lambda lam: 1.0 - modular(A, f, mu, lam), lo, hi, tol
+    )
+    if math.isinf(h):  # exhausted before either bracket end was evaluated
+        h = 1.0 - modular(A, f, mu, lam)
+        evaluations += 1
+    if abs(h) > tol and hi - lo > tol * lam:
         raise NumericError(
-            f"luxemburg_norm did not converge in {_MAX_ITER} iterations: "
-            f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
+            f"luxemburg_norm stalled: bracket [{lo!r}, {hi!r}], "
+            f"residual {abs(h):.3e} > tol {tol:g}"
         )
-    return NormResult(mid, lo, hi, abs(g), iterations, NormStatus.FINITE)
+    return NormResult(lam, lo, hi, abs(h), evaluations, NormStatus.FINITE)
 
 
 def char_norm_closed_form(A: YoungFunction, m: float, tol: float = 1e-12) -> float:

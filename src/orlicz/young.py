@@ -1,19 +1,17 @@
 """Young functions of power and log-bump type.
 
-The log-bump family is A(t) = t**p * log(shift + t)**q.  With shift = e - 1
-the logarithm equals 1 at t = 1, so A(1) = 1 for every (p, q); that
-normalization is what makes the q -> infinity norm limit an equality rather
-than an equivalence.  Evaluation switches to the log domain for large q,
-where the direct product leaves the double-precision exponent range long
-before the quantities of interest stop being meaningful.
+The log-bump family is A(t) = t**p * log(shift + t)**q; q = 0 is the power
+t**p.  With shift = e - 1 the logarithm equals 1 at t = 1, so A(1) = 1 for
+every (p, q); that normalization is what makes the q -> infinity norm limit
+an equality rather than an equivalence.  Evaluation switches to the log
+domain for large q, where the direct product leaves the double-precision
+exponent range long before the quantities of interest stop being meaningful.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .errors import DomainError, InputError, NumericError
 __all__ = [
     "E0",
     "E",
-    "Kind",
     "YoungFunction",
     "AxiomCheck",
     "YoungAxiomReport",
@@ -35,31 +32,24 @@ __all__ = [
 E0 = math.e - 1.0  # log(E0 + 1) == 1
 E = math.e
 
-_MAX_LOG = math.log(sys.float_info.max)  # ~709.78
-_LOG_SWITCH = 700.0
 _Q_SWITCH = 50.0
-_MAX_BISECT = 200
-_MAX_EXPAND = 1100  # enough doublings to sweep the entire double range
+# direct products outside [e^-700, e^700] have lost digits to over/underflow
+_DIRECT_MIN = math.exp(-700.0)
+_DIRECT_MAX = math.exp(700.0)
 _LN2 = math.log(2.0)
-
-
-class Kind(Enum):
-    POWER = "power"
-    LOG_BUMP = "log_bump"
 
 
 @dataclass(frozen=True)
 class YoungFunction:
-    """One member of the family: t**p (power) or t**p * log(shift+t)**q (log bump).
+    """A(t) = t**p * log(shift+t)**q; q = 0 is the power t**p.
 
     Instances are immutable and safe to share across threads.  p >= 1 and
-    q >= 0 are required; q is forced to 0 for power kind.  shift must be
-    positive; the canonical choices are E0 = e-1 and E = e.  For shift < 1
-    the log factor turns nonpositive on part of the axis and evaluation
-    raises DomainError there.
+    q >= 0 are required.  shift must be positive; the canonical choices are
+    E0 = e-1 and E = e.  It does not enter when q = 0.  For shift < 1 and
+    q > 0 the log factor turns nonpositive on part of the axis and
+    evaluation raises DomainError there.
     """
 
-    kind: Kind
     p: float
     q: float = 0.0
     shift: float = E0
@@ -68,9 +58,7 @@ class YoungFunction:
         p, q, shift = float(self.p), float(self.q), float(self.shift)
         if not (math.isfinite(p) and p >= 1.0):
             raise DomainError(f"exponent p must be finite and >= 1, got {self.p}")
-        if self.kind is Kind.POWER:
-            q = 0.0
-        elif not (math.isfinite(q) and q >= 0.0):
+        if not (math.isfinite(q) and q >= 0.0):
             raise DomainError(f"exponent q must be finite and >= 0, got {self.q}")
         if not (math.isfinite(shift) and shift > 0.0):
             raise DomainError(f"shift must be finite and > 0, got {self.shift}")
@@ -80,15 +68,11 @@ class YoungFunction:
 
     @classmethod
     def power(cls, p: float) -> "YoungFunction":
-        return cls(Kind.POWER, p)
+        return cls(p)
 
     @classmethod
     def log_bump(cls, p: float, q: float, shift: float = E0) -> "YoungFunction":
-        return cls(Kind.LOG_BUMP, p, q, shift)
-
-    @property
-    def is_power_like(self) -> bool:
-        return self.kind is Kind.POWER or self.q == 0.0
+        return cls(p, q, shift)
 
     def value(self, t: float) -> float:
         """A(t) for scalar t >= 0.  Values beyond the double range come back
@@ -101,8 +85,9 @@ class YoungFunction:
     def value_array(self, t: np.ndarray) -> np.ndarray:
         """Vectorized A(t); same semantics as value().
 
-        Direct products are used while q <= 50 and the exponent stays inside
-        [-700, 700]; otherwise the result is exp(log_value).
+        For q > 50 the result is exp(log A(t)).  Otherwise it is the direct
+        product, recomputed as exp(log A(t)) only on the entries where the
+        product falls outside [e^-700, e^700].
         """
         t = np.asarray(t, dtype=float)
         if t.size and (np.any(np.isnan(t)) or np.any(t < 0.0)):
@@ -112,20 +97,27 @@ class YoungFunction:
         if not np.any(pos):
             return out
         tp = t[pos]
+        ell = None
+        if self.q != 0.0:
+            ell = np.log(self.shift + tp)
+            if np.any(ell <= 0.0):
+                raise DomainError(
+                    f"log({self.shift} + t) <= 0 on the requested points; "
+                    "the log-bump form needs shift + t > 1"
+                )
+
+        def log_a(sel):
+            lv = self.p * np.log(tp[sel])
+            return lv if ell is None else lv + self.q * np.log(ell[sel])
+
         with np.errstate(over="ignore", under="ignore"):
-            if self.is_power_like:
-                lv = self.p * np.log(tp)
-                vals = np.where(np.abs(lv) <= _LOG_SWITCH, tp**self.p, np.exp(lv))
+            if self.q > _Q_SWITCH:
+                vals = np.exp(log_a(...))
             else:
-                ell = np.log(self.shift + tp)
-                if np.any(ell <= 0.0):
-                    raise DomainError(
-                        f"log({self.shift} + t) <= 0 on the requested points; "
-                        "the log-bump form needs shift + t > 1"
-                    )
-                lv = self.p * np.log(tp) + self.q * np.log(ell)
-                use_log = (self.q > _Q_SWITCH) | (np.abs(lv) > _LOG_SWITCH)
-                vals = np.where(use_log, np.exp(lv), tp**self.p * ell**self.q)
+                vals = tp**self.p if ell is None else tp**self.p * ell**self.q
+                off = ~((vals >= _DIRECT_MIN) & (vals <= _DIRECT_MAX))
+                if np.any(off):
+                    vals[off] = np.exp(log_a(off))
         out[pos] = vals
         return out
 
@@ -133,20 +125,21 @@ class YoungFunction:
         """log A(t) for t > 0: p*log(t) + q*log(log(shift+t))."""
         if not t > 0.0:
             raise DomainError(f"log A(t) requires t > 0, got {t}")
-        if self.is_power_like:
-            return self.p * math.log(t)
+        lv = self.p * math.log(t)
+        if self.q == 0.0:
+            return lv
         ell = math.log(self.shift + t)
         if ell <= 0.0:
             raise DomainError(
                 f"log({self.shift} + {t}) <= 0; log-domain form undefined"
             )
-        return self.p * math.log(t) + self.q * math.log(ell)
+        return lv + self.q * math.log(ell)
 
     def inverse(self, y: float, tol: float = 1e-12) -> float:
         """Solve A(t) = y for t >= 0.
 
         Brackets the root by doubling (or halving) away from t = 1, in the
-        direction A(1) vs y indicates, then bisects geometrically on the
+        direction A(1) vs y indicates, then bisects the bracket on the
         strictly increasing log A.  The returned t satisfies
         |A(t) - y| <= tol * max(1, y) whenever tol sits above the evaluation
         noise floor (about q * 1e-16 relative for extreme q); below that
@@ -159,56 +152,62 @@ class YoungFunction:
             raise DomainError(f"inverse requires y >= 0, got {y}")
         if y == 0.0:
             return 0.0
-        t = _solve_log(self, math.log(y), 0.5 * tol)
-        return t
+        return _solve_log(self, math.log(y), 0.5 * tol)
+
+
+def _bisect(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf):
+    """Bisect increasing g on [lo, hi], where g(lo) <= 0 <= g(hi).
+
+    Returns (x, g(x), lo, hi, evaluations) with the final bracket.  x is the
+    first midpoint with |g(x)| <= tol.  Once no double lies strictly inside
+    the bracket, x is the end with the smaller known |g|; g_lo and g_hi are
+    the values at the starting ends, inf when not evaluated.  Every step
+    shrinks the bracket to a strictly smaller set of doubles, so the loop
+    ends.
+    """
+    evaluations = 0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            if abs(g_lo) <= abs(g_hi):
+                return lo, g_lo, lo, hi, evaluations
+            return hi, g_hi, lo, hi, evaluations
+        g_mid = g(mid)
+        evaluations += 1
+        if abs(g_mid) <= tol:
+            return mid, g_mid, lo, hi, evaluations
+        if g_mid < 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
 
 
 def _solve_log(A: YoungFunction, target: float, tol_log: float) -> float:
     """Find t > 0 with log A(t) = target, to |residual| <= tol_log or one ULP."""
-    g1 = A.log_value(1.0) - target
+
+    def g(t):
+        return A.log_value(t) - target
+
+    g1 = g(1.0)
     if g1 == 0.0:
         return 1.0
-    if g1 < 0.0:
-        lo, glo = 1.0, g1
-        hi = 2.0
-        for _ in range(_MAX_EXPAND):
-            ghi = A.log_value(hi) - target
-            if ghi >= 0.0:
-                break
-            lo, glo = hi, ghi
-            hi *= 2.0
-            if not math.isfinite(hi):
-                raise NumericError(f"inverse bracket expansion overflowed (target={target})")
-        else:
-            raise NumericError(f"inverse bracket expansion failed upward (target={target})")
-    else:
-        hi, ghi = 1.0, g1
-        lo = 0.5
-        for _ in range(_MAX_EXPAND):
-            glo = A.log_value(lo) - target
-            if glo <= 0.0:
-                break
-            hi, ghi = lo, glo
-            lo *= 0.5
-            if lo == 0.0:
-                raise NumericError(f"inverse bracket expansion underflowed (target={target})")
-        else:
-            raise NumericError(f"inverse bracket expansion failed downward (target={target})")
-
-    for _ in range(_MAX_BISECT):
-        mid = math.sqrt(lo) * math.sqrt(hi)  # geometric midpoint, overflow-safe
-        if not lo < mid < hi:
+    # step away from t = 1 by x2 (or x0.5) until g changes sign
+    up = g1 < 0.0
+    step = 2.0 if up else 0.5
+    t, g_t = 1.0, g1
+    while True:
+        s = t * step
+        if s == 0.0 or s == math.inf:
+            raise NumericError(f"inverse bracket expansion left the double range (target={target})")
+        g_s = g(s)
+        if (g_s >= 0.0) if up else (g_s <= 0.0):
             break
-        gm = A.log_value(mid) - target
-        if abs(gm) <= tol_log:
-            return mid
-        if gm < 0.0:
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    # bracket collapsed to adjacent doubles: take the endpoint closest in value
-    t, res = (lo, glo) if abs(glo) <= abs(ghi) else (hi, ghi)
-    if abs(res) > 1e-6:
+        t, g_t = s, g_s
+    lo, g_lo, hi, g_hi = (t, g_t, s, g_s) if up else (s, g_s, t, g_t)
+
+    t, res, lo, hi, _ = _bisect(g, lo, hi, tol_log, g_lo, g_hi)
+    if abs(res) > max(tol_log, 1e-6):
+        # bracket collapsed to adjacent doubles far from the target
         raise NumericError(
             f"inverse did not converge: log-residual {res:.3e} at t={t!r} "
             f"(bracket [{lo!r}, {hi!r}])"

@@ -82,6 +82,26 @@ class TestEval:
             YoungFunction.log_bump(1, 1, shift=0.0)
 
 
+class TestEvalForms:
+    """Each evaluation form of A: the power at q = 0, the log form for q > 50."""
+
+    def test_q_zero_ignores_the_log_factor(self):
+        # log(0.5 + t) < 0 for t < 0.5; at q = 0 it must never enter
+        A = YoungFunction.log_bump(2, 0, shift=0.5)
+        assert A.value(0.25) == 0.0625
+        assert A.value(1e-200) == 0.0
+
+    def test_large_q_avoids_product_underflow(self):
+        # t**100 underflows at t = 1e-4 while A(t) ~ 5.78e-241 does not
+        A = YoungFunction.log_bump(100, 1e7, shift=E)
+        value = A.value(1e-4)
+        assert value > 0.0
+        assert value == pytest.approx(math.exp(A.log_value(1e-4)), rel=1e-12)
+
+    def test_power_is_q_zero(self):
+        assert YoungFunction.power(2) == YoungFunction.log_bump(2, 0)
+
+
 class TestLogEval:
     def test_normalized_zero(self):
         assert YoungFunction.log_bump(1, 1).log_value(1.0) == 0.0
