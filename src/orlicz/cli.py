@@ -238,11 +238,7 @@ def _run_bounds(cfg: RunConfig) -> tuple[list[dict], list[str]]:
 
 def _run_check_young(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     grid = parse_schedule(cfg.grid) if cfg.grid else default_grid()
-    if cfg.q > 0:
-        A = YoungFunction.log_bump(cfg.p, cfg.q, shift=_SHIFTS[cfg.shift])
-    else:
-        A = YoungFunction.power(cfg.p)
-    report = check_young(A, grid)
+    report = check_young(YoungFunction(cfg.p, cfg.q, _SHIFTS[cfg.shift]), grid)
     rows = [
         {"axiom": c.name, "passed": c.passed, "violation_t": c.violation_t}
         for c in report.checks

@@ -75,17 +75,6 @@ class ConvergenceReport:
     passed: bool
 
 
-def _validate_schedule(schedule, name: str, min_len: int = 1) -> list[float]:
-    vals = [float(x) for x in schedule]
-    if len(vals) < min_len:
-        raise InputError(f"{name} needs at least {min_len} entries")
-    if any(not math.isfinite(v) or v <= 0.0 for v in vals):
-        raise InputError(f"{name} entries must be finite and positive")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise InputError(f"{name} must be strictly increasing")
-    return vals
-
-
 def _require_nonzero(f: SampledFunction) -> None:
     if not np.any(f.values != 0.0):
         raise DomainError("the test function must not be identically zero")
@@ -126,7 +115,7 @@ def limit_sweep(
     The report passes when all checks hold, the last gap does not exceed
     the first, and gaps decrease weakly over the final half.
     """
-    qs = _validate_schedule(q_schedule, "q_schedule", min_len=3)
+    qs = _validate_grid(q_schedule, "q_schedule", min_len=3)
     _require_nonzero(f)
     reference = ess_sup(f, mu)
     norms, checks = [], []
@@ -147,7 +136,7 @@ def limit_sweep(
 
 def classical_p_sweep(f: SampledFunction, mu: DiscreteMeasure, p_schedule) -> ConvergenceReport:
     """Weighted p-norms along a p schedule, converging to the sup."""
-    ps = _validate_schedule(p_schedule, "p_schedule", min_len=1)
+    ps = _validate_grid(p_schedule, "p_schedule")
     if any(p < 1.0 for p in ps):
         raise InputError("p_schedule entries must be >= 1")
     _require_nonzero(f)
@@ -270,7 +259,7 @@ def upper_bound_threshold(
     q_schedule,
     tol: float = 1e-9,
 ) -> ThresholdRecord:
-    qs = _validate_schedule(q_schedule, "q_schedule", min_len=1)
+    qs = _validate_grid(q_schedule, "q_schedule")
     _require_nonzero(f)
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
@@ -341,8 +330,8 @@ def truncation_sweep(
     tol: float = DEFAULT_TOL,
     convergence_rtol: float = 1e-3,
 ) -> TruncationReport:
-    Ns = _validate_schedule(N_schedule, "N_schedule", min_len=1)
-    qs = _validate_schedule(q_schedule, "q_schedule", min_len=3)
+    Ns = _validate_grid(N_schedule, "N_schedule")
+    qs = _validate_grid(q_schedule, "q_schedule", min_len=3)
     _require_nonzero(f)
     top = ess_sup(f, mu)
     q_top = qs[-1]

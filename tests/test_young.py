@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,10 +81,15 @@ class TestEval:
             YoungFunction.log_bump(1, -1)
         with pytest.raises(DomainError):
             YoungFunction.log_bump(1, 1, shift=0.0)
+        # shift <= 1 makes log(shift + t) nonpositive near t = 0
+        with pytest.raises(DomainError):
+            YoungFunction(1, 1, shift=0.5)
+        with pytest.raises(DomainError):
+            YoungFunction(1, 1, shift=1.0)
 
 
 class TestEvalForms:
-    """Each evaluation form of A: the power at q = 0, the log form for q > 50."""
+    """Each evaluation form of A: the power at q = 0, the log form for q > 0."""
 
     def test_q_zero_ignores_the_log_factor(self):
         # log(0.5 + t) < 0 for t < 0.5; at q = 0 it must never enter
@@ -100,6 +106,26 @@ class TestEvalForms:
 
     def test_power_is_q_zero(self):
         assert YoungFunction.power(2) == YoungFunction.log_bump(2, 0)
+
+    @pytest.mark.parametrize("shift", [E0, E])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 5.0, 50.0, 51.0, 1e3, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
+    def test_value_array_matches_mpmath(self, p, q, shift):
+        # Oracle: A at 50 digits on the same doubles t and shift.  The bound
+        # is the rounding of log t, log(shift + t) and log ell, scaled by
+        # their condition numbers in exp(p log t + q log ell).
+        eps = np.finfo(float).eps
+        ts = np.geomspace(1e-300, 1e300, 61)
+        got = YoungFunction(p, q, shift).value_array(ts)
+        with mpmath.workdps(50):
+            for t, value in zip(ts.tolist(), got.tolist()):
+                true = mpmath.mpf(t) ** p * mpmath.log(mpmath.mpf(shift) + t) ** q
+                if not mpmath.mpf(1e-300) < true < mpmath.mpf(1e300):
+                    continue
+                ell = math.log(shift + t)
+                S = 1.0 + p * abs(math.log(t)) + q * (1.0 + abs(math.log(ell))) / min(ell, 1.0)
+                rel_err = float(abs(value - true) / true)
+                assert rel_err <= 4.0 * eps * S, (t, value, rel_err / (eps * S))
 
 
 class TestLogEval:
