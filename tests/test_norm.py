@@ -139,6 +139,82 @@ class TestLuxemburgNorm:
                 assert p_norm(f, mu, p) <= C * lux * (1 + 1e-9)
 
 
+def lognormal_instance(seed, n=10_000):
+    """n atoms with values lognormal(0, 1) and weights U[0.1, 1] / n."""
+    rng = np.random.default_rng(seed)
+    return atoms(rng.lognormal(0.0, 1.0, n), rng.uniform(0.1, 1.0, n) / n)
+
+
+def counted_norm(monkeypatch, A, f, mu, tol):
+    """luxemburg_norm, and the size of every array it passes to value_array."""
+    sizes = []
+    original = YoungFunction.value_array
+
+    def counting(self, t):
+        sizes.append(np.size(t))
+        return original(self, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(YoungFunction, "value_array", counting)
+        return luxemburg_norm(A, f, mu, tol), sizes
+
+
+PRUNE_TOL = 1e-10
+EDGE_CASES = {
+    "zero_atoms": ([0.0, 2.0, 0.0, 1.0, 0.5, 0.0], [1.0, 0.2, 3.0, 0.3, 0.1, 1e3]),
+    "single_atom": ([3.0], [0.7]),
+    "heavy_weights": ([1.0, 2.0, 4.0, 0.5, 3.9], [2.0, 5.0, 1e3, 7.0, 40.0]),
+    "mass_3e299": (np.linspace(0.5, 4.0, 100), np.full(100, 3e297)),
+    "extreme_values": ([1e-300, 1.0, 1e300], [1e-300, 0.5, 1e-300]),
+}
+
+
+class TestPruning:
+    """luxemburg_norm solves on the atoms above a certified cut; the full
+    modular, dropped atoms included, still meets tol."""
+
+    @pytest.mark.parametrize("q", [1.0, 10.0, 100.0, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_full_modular_meets_tol(self, monkeypatch, p, q):
+        mu, f = lognormal_instance(seed=int(10 * p + math.log10(q)))
+        A = YoungFunction.log_bump(p, q)
+        res, sizes = counted_norm(monkeypatch, A, f, mu, PRUNE_TOL)
+        assert res.status is NormStatus.FINITE
+        assert abs(modular(A, f, mu, res.value) - 1.0) <= res.residual <= PRUNE_TOL
+        assert modular(A, f, mu, res.value * (1 - 1e-9)) >= 1.0
+        assert modular(A, f, mu, res.value * (1 + 1e-9)) <= 1.0
+
+        # the solver kept the `kept` largest |f_i| and dropped the rest
+        kept = max(sizes)
+        assert all(s == kept for s in sizes)
+        order = np.argsort(np.abs(f.values))
+        dropped = order[: len(order) - kept]
+        w, a = mu.weights[dropped], np.abs(f.values[dropped])
+        assert res.pruned_mass == pytest.approx(float(w.sum()), rel=1e-12, abs=0.0)
+        contribution = float(w @ A.value_array(a / res.value))
+        assert contribution <= res.pruned_bound <= 0.5 * PRUNE_TOL
+        if len(a):  # the bound holds at every lam in the final bracket
+            worst = float(w.sum()) * A.value(float(a.max()) / res.bracket_lo)
+            assert worst <= res.pruned_bound * (1 + 1e-12)
+        if q == 1.0:
+            assert res.pruned_mass == 0.0 and res.pruned_bound == 0.0
+            assert kept == len(f)
+        if q == 1e5:
+            assert kept <= 64
+
+    @pytest.mark.parametrize("q", [1.0, 100.0, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases(self, case, p, q):
+        mu, f = atoms(*EDGE_CASES[case])
+        A = YoungFunction.log_bump(p, q)
+        res = luxemburg_norm(A, f, mu, PRUNE_TOL)
+        assert res.status is NormStatus.FINITE
+        assert res.bracket_lo <= res.value <= res.bracket_hi
+        assert 0.0 <= res.pruned_bound <= 0.5 * PRUNE_TOL
+        assert res.residual <= PRUNE_TOL
+
+
 class TestCharNormClosedForm:
     def test_unit_mass(self):
         assert char_norm_closed_form(YoungFunction.log_bump(3, 2), 1.0) == pytest.approx(
