@@ -33,7 +33,7 @@ from .measure import (
     load_csv,
     quadrature_from_samples,
 )
-from .norm import luxemburg_norm
+from .norm import DEFAULT_TOL, luxemburg_norm
 from .young import E0, E, YoungFunction, check_young, compare, default_grid
 
 __all__ = ["RunConfig", "run", "main", "build_preset", "parse_schedule"]
@@ -56,7 +56,7 @@ class RunConfig:
     p_grid: str | None = None
     grid: str | None = None
     m: float = 1.0
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     preset: str | None = None
     input_path: str | None = None
     output: str | None = None
@@ -292,7 +292,6 @@ def _add_common(sub, data: bool, schedule: str | None = None) -> None:
         sub.add_argument("--q-grid", required=True, help="q schedule start:stop:points:(log|lin)")
     elif schedule == "p":
         sub.add_argument("--p-grid", required=True, help="p schedule start:stop:points:(log|lin)")
-    sub.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     sub.add_argument("--output", help="report file (default: stdout)")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
@@ -306,12 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("norm", help="Luxemburg norm of a function")
     _add_common(s, data=True)
+    s.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
     s.add_argument("--p", type=float, default=1.0)
     s.add_argument("--q", type=float, default=1.0)
-    s.add_argument("--shift", choices=("e0", "e"), default="e0")
+    s.add_argument("--shift", choices=tuple(_SHIFTS), default="e0")
 
     s = subs.add_parser("sweep", help="norms along a q schedule (shift e0)")
     _add_common(s, data=True, schedule="q")
+    s.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
     s.add_argument("--p", type=float, default=1.0)
 
     s = subs.add_parser("classical", help="p-norms along a p schedule")
@@ -326,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(s, data=False)
     s.add_argument("--p", type=float, default=1.0)
     s.add_argument("--q", type=float, default=1.0)
-    s.add_argument("--shift", choices=("e0", "e"), default="e0")
+    s.add_argument("--shift", choices=tuple(_SHIFTS), default="e0")
     s.add_argument("--grid", help="verification grid start:stop:points:(log|lin)")
 
     s = subs.add_parser("compare", help="grid constants between the e0- and e-shift families")

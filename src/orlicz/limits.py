@@ -278,18 +278,10 @@ def upper_bound_threshold(
             value = luxemburg_norm(A, f, mu).value
             entries.append(ThresholdEntry(q, mv, value, value <= lam + tol))
 
-    q0 = qs[0]
-    base = YoungFunction.log_bump(p, q0)
+    # log A_q(r) - log A_q0(r) = (q - q0) * log(log(E0 + r)) and q >= q0
+    # along the validated schedule, so one sign test per atom decides it.
     ratios = np.abs(f.values) / lam
-    domination_ok = True
-    for q in qs:
-        A = YoungFunction.log_bump(p, q)
-        for r in ratios:
-            if r > 0.0 and A.log_value(float(r)) > base.log_value(float(r)):
-                domination_ok = False
-                break
-        if not domination_ok:
-            break
+    domination_ok = bool(np.all(np.log(E0 + ratios) <= 1.0))
 
     found = q_star is not None
     norm_checks = [e.norm_ok for e in entries if e.norm_ok is not None]

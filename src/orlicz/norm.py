@@ -3,8 +3,10 @@
 The norm is the root of the modular equation sum_i w_i A(|f_i|/lam) = 1,
 which is continuous and strictly decreasing in lam wherever it is finite.
 In this discrete model the infimum in the norm definition is attained, so
-the solver targets the equation directly from an analytically certified
-bracket rather than relying on ad-hoc expansion.
+the solver targets the equation directly: it bisects lam in log scale
+(young._bisect, the package's one root-finding rule) from an analytically
+certified bracket, since lam is a positive scale whose accuracy is
+relative and the bracket can span hundreds of decades.
 
 The solver bisects only on the atoms that can move the modular.  Inside the
 bracket [lo, hi], an atom with |f_i| <= cut adds at most w_i A(cut/lo), so
@@ -82,7 +84,7 @@ def luxemburg_norm(
     mu: DiscreteMeasure,
     tol: float = DEFAULT_TOL,
 ) -> NormResult:
-    """Luxemburg norm inf{lam > 0 : modular(lam) <= 1} by bisection.
+    """Luxemburg norm inf{lam > 0 : modular(lam) <= 1} by log-scale bisection.
 
     The starting bracket is certified in closed form: with M = ess sup |f|,
     s = mass of the support and w = weight of the first atom attaining M,
@@ -98,10 +100,11 @@ def luxemburg_norm(
 
     where pruned_mass is their total weight.  The atom attaining M always
     survives, since cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for
-    the kept atoms too.  Bisection drives the kept modular to within
-    tol - pruned_bound of 1, so the full modular meets
-    |modular(lam) - 1| <= tol; it falls back to the relative bracket-width
-    criterion only when double precision is exhausted first.
+    the kept atoms too.  Bisection at geometric midpoints, whose step count
+    grows only with the log of the bracket's span in decades, drives the
+    kept modular to within tol - pruned_bound of 1, so the full modular
+    meets |modular(lam) - 1| <= tol; it falls back to the relative
+    bracket-width criterion only when double precision is exhausted first.
     """
     check_aligned(f, mu)
     if not tol > 0.0:
@@ -113,7 +116,7 @@ def luxemburg_norm(
         return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
 
     big = float(absf.max())
-    mass_supp = float(weights[support].sum())
+    mass_supp = float(np.sum(weights, where=support))
     w_argmax = float(weights[int(np.argmax(absf))])
     lo = big / A.inverse(1.0 / w_argmax)
     hi = big / A.inverse(1.0 / mass_supp)

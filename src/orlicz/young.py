@@ -128,13 +128,13 @@ class YoungFunction:
     def inverse(self, y: float, tol: float = 1e-12) -> float:
         """Solve A(t) = y for t >= 0.
 
-        Brackets the root by doubling (or halving) away from t = 1, in the
-        direction A(1) vs y indicates, then bisects the bracket on the
-        strictly increasing log A.  The returned t satisfies
-        |A(t) - y| <= tol * max(1, y) whenever tol sits above the evaluation
-        noise floor (about q * 1e-16 relative for extreme q); below that
-        floor the bracket is refined to one ULP, which is the best double
-        precision admits.
+        d log A / d log t = p + q t / ((shift + t) log(shift + t)) >= p, so
+        the root lies between t = 1 and t = exp((log y - log A(1)) / p);
+        log A is bisected in log scale on that bracket.  The returned t
+        satisfies |A(t) - y| <= tol * max(1, y) whenever tol sits above the
+        evaluation noise floor (about q * 1e-16 relative for extreme q);
+        below that floor the bracket is refined to one ULP, which is the
+        best double precision admits.
         """
         if not tol > 0.0:
             raise DomainError(f"tol must be positive, got {tol}")
@@ -146,18 +146,23 @@ class YoungFunction:
 
 
 def _bisect(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf):
-    """Bisect increasing g on [lo, hi], where g(lo) <= 0 <= g(hi).
+    """Bisect increasing g on [lo, hi], 0 <= lo, where g(lo) <= 0 <= g(hi).
 
-    Returns (x, g(x), lo, hi, evaluations) with the final bracket.  x is the
-    first midpoint with |g(x)| <= tol.  Once no double lies strictly inside
-    the bracket, x is the end with the smaller known |g|; g_lo and g_hi are
-    the values at the starting ends, inf when not evaluated.  Every step
-    shrinks the bracket to a strictly smaller set of doubles, so the loop
-    ends.
+    The midpoint is geometric, sqrt(lo * hi), so a bracket spanning many
+    decades shrinks in relative width at the same rate as a narrow one; the
+    arithmetic midpoint stands in when the geometric one is not strictly
+    inside (lo = 0, or near-adjacent doubles).  Returns (x, g(x), lo, hi,
+    evaluations) with the final bracket.  x is the first midpoint with
+    |g(x)| <= tol.  Once neither midpoint lies strictly inside the bracket,
+    x is the end with the smaller known |g|; g_lo and g_hi are the values at
+    the starting ends, inf when not evaluated.  Every step shrinks the
+    bracket to a strictly smaller set of doubles, so the loop ends.
     """
     evaluations = 0
     while True:
-        mid = lo + 0.5 * (hi - lo)
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            mid = lo + 0.5 * (hi - lo)
         if not lo < mid < hi:
             if abs(g_lo) <= abs(g_hi):
                 return lo, g_lo, lo, hi, evaluations
@@ -173,7 +178,12 @@ def _bisect(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf):
 
 
 def _solve_log(A: YoungFunction, target: float, tol_log: float) -> float:
-    """Find t > 0 with log A(t) = target, to |residual| <= tol_log or one ULP."""
+    """Find t > 0 with log A(t) = target, to |residual| <= tol_log or one ULP.
+
+    The bracket end exp((target - log A(1)) / p) is clamped to the double
+    range; a root beyond the clamp leaves a log-residual that raises
+    NumericError.
+    """
 
     def g(t):
         return A.log_value(t) - target
@@ -181,23 +191,11 @@ def _solve_log(A: YoungFunction, target: float, tol_log: float) -> float:
     g1 = g(1.0)
     if g1 == 0.0:
         return 1.0
-    # step away from t = 1 by x2 (or x0.5) until g changes sign
-    up = g1 < 0.0
-    step = 2.0 if up else 0.5
-    t, g_t = 1.0, g1
-    while True:
-        s = t * step
-        if s == 0.0 or s == math.inf:
-            raise NumericError(f"inverse bracket expansion left the double range (target={target})")
-        g_s = g(s)
-        if (g_s >= 0.0) if up else (g_s <= 0.0):
-            break
-        t, g_t = s, g_s
-    lo, g_lo, hi, g_hi = (t, g_t, s, g_s) if up else (s, g_s, t, g_t)
-
+    end = math.exp(min(max(-g1 / A.p, -745.0), 709.0))  # finite and nonzero
+    lo, g_lo, hi, g_hi = (1.0, g1, end, math.inf) if g1 < 0.0 else (end, math.inf, 1.0, g1)
     t, res, lo, hi, _ = _bisect(g, lo, hi, tol_log, g_lo, g_hi)
     if abs(res) > max(tol_log, 1e-6):
-        # bracket collapsed to adjacent doubles far from the target
+        # bracket collapsed far from the target, or the root is past the clamp
         raise NumericError(
             f"inverse did not converge: log-residual {res:.3e} at t={t!r} "
             f"(bracket [{lo!r}, {hi!r}])"

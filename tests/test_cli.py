@@ -173,6 +173,9 @@ class TestExitCodes:
     def test_missing_source_is_validation_error(self, capsys):
         assert run_cli("norm", "--p", "1", "--q", "1") == 1
 
+    def test_tol_rejected_where_no_solver_runs(self, capsys):
+        assert main(["compare", "--tol", "1e-3"]) == 1
+
     def test_solver_failure_is_numeric_error(self, capsys, monkeypatch):
         import orlicz.cli
         from orlicz import NumericError

@@ -213,6 +213,8 @@ class TestPruning:
         assert res.bracket_lo <= res.value <= res.bracket_hi
         assert 0.0 <= res.pruned_bound <= 0.5 * PRUNE_TOL
         assert res.residual <= PRUNE_TOL
+        # log-scale bisection: brackets spanning 600 decades cost no more
+        assert res.iterations <= 64
 
 
 class TestCharNormClosedForm:
