@@ -6,7 +6,8 @@ In this discrete model the infimum in the norm definition is attained, so
 the solver targets the equation directly: it bisects lam in log scale
 (young._bisect, the package's one root-finding rule) from an analytically
 certified bracket, since lam is a positive scale whose accuracy is
-relative and the bracket can span hundreds of decades.
+relative and the bracket can span hundreds of decades.  A step allocates
+nothing: |f|/lam and A of it land in a buffer made once per solve.
 
 The solver bisects only on the atoms that can move the modular.  Inside the
 bracket [lo, hi], an atom with |f_i| <= cut adds at most w_i A(cut/lo), so
@@ -75,7 +76,7 @@ def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: floa
     if not lam > 0.0:
         raise DomainError(f"modular requires lam > 0, got {lam}")
     # weights are finite and > 0 and terms >= 0, so an inf term gives inf
-    return float(mu.weights @ A.value_array(np.abs(f.values) / lam))
+    return float(mu.weights @ A._evaluate_into(np.abs(f.values) / lam, np.empty(len(f))))
 
 
 def luxemburg_norm(
@@ -133,8 +134,11 @@ def luxemburg_norm(
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
         absf, weights = absf[keep], weights[keep]
 
+    terms, scratch = np.empty_like(absf), np.empty_like(absf)  # reused every step
+
     def g(lam):
-        return 1.0 - float(weights @ A.value_array(absf / lam))
+        np.divide(absf, lam, out=terms)
+        return 1.0 - float(weights @ A._evaluate_into(terms, scratch))
 
     lam, h, lo, hi, evaluations = _bisect(g, lo, hi, tol - pruned_bound)
     if math.isinf(h):  # exhausted before either bracket end was evaluated

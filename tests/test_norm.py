@@ -146,16 +146,16 @@ def lognormal_instance(seed, n=10_000):
 
 
 def counted_norm(monkeypatch, A, f, mu, tol):
-    """luxemburg_norm, and the size of every array it passes to value_array."""
+    """luxemburg_norm, and the size of every array it passes to the kernel."""
     sizes = []
-    original = YoungFunction.value_array
+    original = YoungFunction._evaluate_into
 
-    def counting(self, t):
+    def counting(self, t, scratch):
         sizes.append(np.size(t))
-        return original(self, t)
+        return original(self, t, scratch)
 
     with monkeypatch.context() as m:
-        m.setattr(YoungFunction, "value_array", counting)
+        m.setattr(YoungFunction, "_evaluate_into", counting)
         return luxemburg_norm(A, f, mu, tol), sizes
 
 

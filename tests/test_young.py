@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -88,8 +89,44 @@ class TestEval:
             YoungFunction(1, 1, shift=1.0)
 
 
+# both zeros, subnormals, ordinary values and inf, in increasing order
+EDGE_ENTRIES = (0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 0.5, 1.0, 3.0, 1e300, math.inf)
+
+
 class TestEvalForms:
     """Each evaluation form of A: the power at q = 0, the log form for q > 0."""
+
+    @pytest.mark.parametrize("shift", [E0, E])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_value_array_edge_entries(self, p, q, shift):
+        # (-0.0)**3 is -0.0, so p = 3 at q = 0 checks the sign of A(-0.0);
+        # log(0) = -inf at q > 0 must not warn
+        t = np.array(EDGE_ENTRIES)
+        before = t.tobytes()
+        A = YoungFunction(p, q, shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = A.value_array(t)
+        assert t.tobytes() == before
+        assert got is not t
+        assert got[:2].tobytes() == np.zeros(2).tobytes()  # +0.0 for both zeros
+        assert got[-1] == math.inf
+        assert np.all(got[1:] >= got[:-1])  # A is increasing
+        assert got.tobytes() == A.value_array(np.abs(t)).tobytes()
+
+    @pytest.mark.parametrize("shift", [E0, E])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_kernel_is_in_place(self, p, q, shift):
+        t = np.abs(EDGE_ENTRIES)  # the solver feeds |f| / lam, never -0.0
+        A = YoungFunction(p, q, shift)
+        work, scratch = t.copy(), np.empty_like(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = A._evaluate_into(work, scratch)
+        assert out is work
+        assert out.tobytes() == A.value_array(t).tobytes()
 
     def test_q_zero_ignores_the_log_factor(self):
         # log(0.5 + t) < 0 for t < 0.5; at q = 0 it must never enter
