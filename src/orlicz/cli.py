@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,7 @@ from .young import E0, E, YoungFunction, check_young, compare, default_grid
 __all__ = ["RunConfig", "run", "main", "build_preset", "parse_schedule"]
 
 _SHIFTS = {"e0": E0, "e": E}
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -86,6 +88,10 @@ def parse_schedule(spec: str) -> tuple[float, ...]:
         raise InputError(f"schedule spacing must be log or lin, got {parts[3]!r}")
     if n < 2:
         raise InputError("schedule needs at least 2 points")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise InputError(f"schedule start and stop must be finite, got {spec!r}")
+    if not math.isfinite(stop - start):
+        raise InputError(f"schedule span stop - start overflows, got {spec!r}")
     if not start < stop:
         raise InputError("schedule requires start < stop")
     if spacing == "log":
@@ -110,38 +116,46 @@ def build_preset(spec: str) -> tuple[DiscreteMeasure, SampledFunction]:
     """
     name, _, rest = spec.partition(":")
     args = rest.split(":") if rest else []
-    try:
-        if name == "indicator" and len(args) == 1:
-            m = float(args[0])
-            if m <= 0:
-                raise InputError("indicator mass must be positive")
-            return DiscreteMeasure([0.0], [m]), SampledFunction([1.0])
-        if name == "geometric" and len(args) == 2:
-            r, n = float(args[0]), int(args[1])
-            if r <= 0 or n < 1:
-                raise InputError("geometric preset needs ratio > 0 and n >= 1")
-            coords = np.arange(n, dtype=float)
-            return (
-                DiscreteMeasure(coords, np.ones(n)),
-                SampledFunction(r ** coords),
+
+    def number(kind, text):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise InputError(f"malformed preset {spec!r}") from exc
+
+    if name == "indicator" and len(args) == 1:
+        m = number(float, args[0])
+        if not m > 0:
+            raise InputError("indicator mass must be positive")
+        return DiscreteMeasure([0.0], [m]), SampledFunction([1.0])
+    if name == "geometric" and len(args) == 2:
+        r, n = number(float, args[0]), number(int, args[1])
+        if not r > 0 or n < 1:
+            raise InputError("geometric preset needs ratio > 0 and n >= 1")
+        if (n - 1) * math.log(r) > _LOG_MAX:
+            raise InputError(
+                f"geometric preset overflows: {r:g}**{n - 1} exceeds the double range"
             )
-        if name == "step" and len(args) == 1:
-            levels = int(args[0])
-            if levels < 1:
-                raise InputError("step preset needs at least one level")
-            coords = np.arange(levels, dtype=float)
-            return (
-                DiscreteMeasure(coords, np.ones(levels)),
-                SampledFunction(coords + 1.0),
-            )
-        if name == "ramp" and len(args) == 1:
-            n = int(args[0])
-            if n < 2:
-                raise InputError("ramp preset needs at least 2 samples")
-            xs = np.linspace(0.0, 1.0, n)
-            return quadrature_from_samples(xs, xs)
-    except ValueError as exc:
-        raise InputError(f"malformed preset {spec!r}") from exc
+        coords = np.arange(n, dtype=float)
+        return (
+            DiscreteMeasure(coords, np.ones(n)),
+            SampledFunction(r ** coords),
+        )
+    if name == "step" and len(args) == 1:
+        levels = number(int, args[0])
+        if levels < 1:
+            raise InputError("step preset needs at least one level")
+        coords = np.arange(levels, dtype=float)
+        return (
+            DiscreteMeasure(coords, np.ones(levels)),
+            SampledFunction(coords + 1.0),
+        )
+    if name == "ramp" and len(args) == 1:
+        n = number(int, args[0])
+        if n < 2:
+            raise InputError("ramp preset needs at least 2 samples")
+        xs = np.linspace(0.0, 1.0, n)
+        return quadrature_from_samples(xs, xs)
     raise InputError(
         f"unknown preset {spec!r}; expected indicator:m, geometric:r:n, step:L or ramp:n"
     )

@@ -6,8 +6,18 @@ In this discrete model the infimum in the norm definition is attained, so
 the solver targets the equation directly: it bisects lam in log scale
 (young._bisect, the package's one root-finding rule) from an analytically
 certified bracket, since lam is a positive scale whose accuracy is
-relative and the bracket can span hundreds of decades.  A step allocates
-nothing: |f|/lam and A of it land in a buffer made once per solve.
+relative and the bracket can span hundreds of decades.
+
+One kernel evaluates the modular for both modular() and the solver.  With
+M = max |f|, it builds the log weights c_i = log w_i + p*(log|f_i| - log M)
+once per call, and an evaluation at lam sums
+
+    exp(c_i + p*(log M - log lam) + q*log(log(shift + |f_i|/lam)))
+
+over blocks of 2^16 atoms in one reused buffer, with no allocation and no
+weight dot product.  Each term is w_i A(|f_i|/lam) computed whole in the log
+domain, so a term is inf only when w_i A(|f_i|/lam) itself overflows (or,
+for q > 0, |f_i|/lam does), and 0 when it underflows; f_i = 0 gives 0.
 
 The solver bisects only on the atoms that can move the modular.  Inside the
 bracket [lo, hi], an atom with |f_i| <= cut adds at most w_i A(cut/lo), so
@@ -21,6 +31,7 @@ bound.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+
+_BLOCK = 1 << 16  # atoms per kernel block; its 512 KB buffer stays in cache
 
 
 class NormStatus(Enum):
@@ -70,13 +83,56 @@ class NormResult:
     pruned_bound: float = 0.0
 
 
+@contextmanager
+def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray):
+    """Yield lam -> sum_i w_i A(a_i / lam) over fixed atoms a_i >= 0, w_i > 0,
+    evaluated as the module docstring describes.  The floating-point error
+    state is entered once, for every call."""
+    p, q = A.p, A.q
+    big = float(a.max())
+    log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
+    buf = np.empty(min(len(a), _BLOCK))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        c = np.log(w)
+        blocks = []
+        for start in range(0, len(a), _BLOCK):
+            a_blk, c_blk = a[start : start + _BLOCK], c[start : start + _BLOCK]
+            t = buf[: len(a_blk)]
+            np.log(a_blk, out=t)
+            t -= log_big
+            t *= p
+            c_blk += t
+            blocks.append((a_blk, c_blk, t))
+
+        def modular_at(lam: float) -> float:
+            offset = p * (log_big - math.log(lam))
+            total = 0.0
+            for a_blk, c_blk, t in blocks:
+                if q == 0.0:
+                    np.add(c_blk, offset, out=t)
+                else:
+                    np.divide(a_blk, lam, out=t)
+                    A._log_factor_into(t, t)
+                    t += c_blk
+                    t += offset
+                total += float(np.add.reduce(np.exp(t, out=t)))
+            return total
+
+        yield modular_at
+
+
 def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: float) -> float:
-    """sum_i w_i A(|f_i| / lam); math.inf when any term overflows."""
+    """sum_i w_i A(|f_i| / lam), each term computed whole in the log domain.
+
+    A term is math.inf only when w_i A(|f_i|/lam) itself exceeds the double
+    range, or, for q > 0, when |f_i|/lam does; the sum is then math.inf.  A
+    term below the range is 0.0, and f_i = 0 gives 0.0.
+    """
     check_aligned(f, mu)
     if not lam > 0.0:
         raise DomainError(f"modular requires lam > 0, got {lam}")
-    # weights are finite and > 0 and terms >= 0, so an inf term gives inf
-    return float(mu.weights @ A._evaluate_into(np.abs(f.values) / lam, np.empty(len(f))))
+    with _modular_kernel(A, np.abs(f.values), mu.weights) as modular_at:
+        return modular_at(lam)
 
 
 def luxemburg_norm(
@@ -134,16 +190,15 @@ def luxemburg_norm(
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
         absf, weights = absf[keep], weights[keep]
 
-    terms, scratch = np.empty_like(absf), np.empty_like(absf)  # reused every step
+    with _modular_kernel(A, absf, weights) as modular_at:
 
-    def g(lam):
-        np.divide(absf, lam, out=terms)
-        return 1.0 - float(weights @ A._evaluate_into(terms, scratch))
+        def g(lam):
+            return 1.0 - modular_at(lam)
 
-    lam, h, lo, hi, evaluations = _bisect(g, lo, hi, tol - pruned_bound)
-    if math.isinf(h):  # exhausted before either bracket end was evaluated
-        h = g(lam)
-        evaluations += 1
+        lam, h, lo, hi, evaluations = _bisect(g, lo, hi, tol - pruned_bound)
+        if math.isinf(h):  # exhausted before either bracket end was evaluated
+            h = g(lam)
+            evaluations += 1
     residual = abs(h) + pruned_bound
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(

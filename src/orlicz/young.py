@@ -7,8 +7,10 @@ an equality rather than an equivalence.  Every log-bump is evaluated in the
 log domain, as exp(p*log(t) + q*log(log(shift + t))): the direct product
 leaves the double-precision exponent range long before the quantities of
 interest stop being meaningful.  A log-bump needs shift > 1, so that the
-log factor is positive on the whole axis.  One kernel evaluates A in place;
-value_array is a checked copy around it, and the norm solver reuses buffers.
+log factor is positive on the whole axis.  One kernel evaluates A in place
+and value_array is a checked copy around it; the log factor's term
+q*log(log(shift + t)) is one helper that this kernel and the norm module's
+modular kernel share.
 """
 
 from __future__ import annotations
@@ -104,14 +106,23 @@ class YoungFunction:
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             if self.q == 0.0:
                 return np.power(t, self.p, out=t)
-            np.add(t, self.shift, out=scratch)
-            np.log(scratch, out=scratch)
-            np.log(scratch, out=scratch)
-            scratch *= self.q
+            self._log_factor_into(t, scratch)
             np.log(t, out=t)
             t *= self.p
             t += scratch
             return np.exp(t, out=t)
+
+    def _log_factor_into(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write q * log(log(shift + t)), the log of A's log factor, into out.
+
+        out may be t itself.  Returns out; allocates nothing and runs under
+        the caller's floating-point error state.  t = inf gives inf.
+        """
+        np.add(t, self.shift, out=out)
+        np.log(out, out=out)
+        np.log(out, out=out)
+        out *= self.q
+        return out
 
     def log_value(self, t: float) -> float:
         """log A(t) for t > 0: p*log(t) + q*log(log(shift+t))."""

@@ -35,6 +35,19 @@ class TestParseSchedule:
         with pytest.raises(InputError):
             parse_schedule(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["1:inf:3:log", "nan:10:3:log", "nan:1:3:lin", "0:nan:3:lin", "-inf:1:3:lin"],
+    )
+    def test_rejects_non_finite_bounds(self, bad):
+        # a RuntimeWarning from numpy would fail this test before the match
+        with pytest.raises(InputError, match="must be finite"):
+            parse_schedule(bad)
+
+    def test_rejects_overflowing_span(self):
+        with pytest.raises(InputError, match="overflows"):
+            parse_schedule("-1e308:1e308:3:lin")
+
 
 class TestPresets:
     def test_indicator(self):
@@ -62,6 +75,15 @@ class TestPresets:
     def test_rejects(self, bad):
         with pytest.raises(InputError):
             build_preset(bad)
+
+    @pytest.mark.parametrize("bad", ["geometric:1e300:3", "geometric:inf:2", "geometric:2:1100"])
+    def test_rejects_overflowing_geometric(self, bad):
+        with pytest.raises(InputError, match="overflows"):
+            build_preset(bad)
+
+    def test_geometric_underflow_and_single_value(self):
+        assert build_preset("geometric:1e-300:3")[1].values.tolist() == [1.0, 1e-300, 0.0]
+        assert build_preset("geometric:inf:1")[1].values.tolist() == [1.0]
 
 
 class TestCommands:
@@ -164,6 +186,27 @@ class TestExitCodes:
     def test_bad_schedule_is_validation_error(self):
         assert run_cli("sweep", "--preset", "indicator:1", "--p", "1",
                        "--q-grid", "10:1:4:log") == 1
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("indicator:-1", "indicator mass must be positive"),
+            ("step:0", "step preset needs at least one level"),
+            ("ramp:1", "ramp preset needs at least 2 samples"),
+            ("geometric:-2:3", "geometric preset needs ratio > 0 and n >= 1"),
+            ("geometric:1e300:3", "geometric preset overflows"),
+            ("geometric:x:3", "malformed preset 'geometric:x:3'"),
+        ],
+    )
+    def test_preset_message_reaches_stderr(self, capsys, spec, message):
+        assert run_cli("norm", "--preset", spec, "--p", "1", "--q", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_non_finite_schedule_reaches_stderr(self, capsys):
+        assert run_cli("sweep", "--preset", "indicator:1", "--p", "1",
+                       "--q-grid", "1:inf:3:log") == 1
+        assert "schedule start and stop must be finite" in capsys.readouterr().err
 
     def test_bad_csv_is_validation_error(self, tmp_path):
         data = tmp_path / "bad.csv"

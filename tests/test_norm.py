@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import orlicz.norm as norm_module
 from orlicz import (
+    E0,
     DiscreteMeasure,
     DomainError,
     NormStatus,
@@ -55,6 +58,109 @@ class TestModular:
             for A in (YoungFunction.power(2), YoungFunction.log_bump(1.5, 8)):
                 vals = [modular(A, f, mu, float(l)) for l in lams]
                 assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+LOG_MAX = math.log(np.finfo(float).max)
+# zeros of both signs, then |f| across the double range with alternating signs
+ORACLE_VALUES = [0.0, -0.0] + [
+    (-1.0) ** k * float(a) for k, a in enumerate(np.geomspace(1e-300, 1e300, 31))
+]
+ORACLE_WEIGHTS = np.random.default_rng(41).permutation(np.geomspace(1e-300, 1e3, 33))
+ORACLE_LAMS = [float(x) for x in np.geomspace(1e-300, 1e300, 13)] + [1.5e300, 1e301]
+
+
+def modular_oracle(A, values, weights, lam):
+    """sum_i w_i A(|f_i|/lam) at 50 digits, the expected double, and the error
+    scale S of the kernel's exponent c_i + p (log M - log lam) + q log ell_i.
+
+    Expected is inf when a term exceeds the double range, or for q > 0 when
+    |f_i|/lam overflows; None when a term lies within 1e-9 of that edge.  S
+    is 1 plus the largest, over the terms that carry at least 1e-20 of the
+    sum, of the magnitudes whose rounding enters the exponent: |log w_i|,
+    p |log a_i|, 2 p |log M|, p |log lam|, and q (1 + |log ell_i|) /
+    min(ell_i, 1) for the log factor, as in the value_array oracle.
+    """
+    a = [abs(v) for v in values]
+    big = max(a)
+    if A.q > 0.0 and any(x / lam == math.inf for x in a):
+        return None, math.inf, 1.0
+    logs, scales = [], []
+    with mpmath.workdps(50):
+        for x, w in zip(a, weights):
+            if x == 0.0:
+                continue
+            t = mpmath.mpf(x) / lam
+            ell = mpmath.log(mpmath.mpf(A.shift) + t)
+            logs.append(mpmath.log(w) + A.p * mpmath.log(t) + A.q * mpmath.log(ell))
+            ell = float(ell)
+            scales.append(
+                abs(math.log(w))
+                + A.p * (abs(math.log(x)) + 2.0 * abs(math.log(big)) + abs(math.log(lam)))
+                + A.q * (1.0 + abs(math.log(ell))) / min(ell, 1.0)
+            )
+        if not logs:
+            return mpmath.mpf(0), 0.0, 1.0
+        top = max(logs)
+        if abs(top - LOG_MAX) < 1e-9:
+            return None, None, 1.0
+        if top > LOG_MAX:
+            return None, math.inf, 1.0
+        true = mpmath.fsum(mpmath.exp(x) for x in logs)
+        S = 1.0 + max(s for x, s in zip(logs, scales) if x >= mpmath.log(true) - 46)
+        return true, float(true), S
+
+
+class TestModularKernel:
+    """modular against a 50-digit oracle, and the kernel's block edges."""
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 100.0, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
+    def test_matches_mpmath(self, p, q):
+        eps = np.finfo(float).eps
+        A = YoungFunction.log_bump(p, q)
+        mu, f = atoms(ORACLE_VALUES, ORACLE_WEIGHTS)
+        checked = 0
+        for lam in ORACLE_LAMS:
+            true, expected, S = modular_oracle(A, ORACLE_VALUES, ORACLE_WEIGHTS, lam)
+            if expected is None:
+                continue
+            got = modular(A, f, mu, lam)
+            if expected == math.inf:
+                assert got == math.inf, lam
+                continue
+            # a term below the normal range is rounded to a multiple of 2^-1074
+            err = abs(got - true)
+            bound = 4.0 * eps * S * true + len(f) * 5e-324
+            assert err <= bound, (lam, got, float(err / true) / (eps * S))
+            checked += 1
+        assert checked >= 2
+
+    def test_weighted_term_overflow(self):
+        # A(1e305) = 1e305 * log(e0 + 1e305)^2 ~ 4.9e310 overflows, but the
+        # weighted term 4.9e5 does not
+        A = YoungFunction.log_bump(1, 2)
+        mu, f = atoms([1e300, 1.0], [1e-305, 1.0])
+        assert A.value(1e305) == math.inf
+        with mpmath.workdps(50):
+            t = mpmath.mpf(1e300) / 1e-5
+            true = mpmath.mpf(1e-305) * t * mpmath.log(E0 + t) ** 2 + 1e5 * mpmath.log(
+                E0 + mpmath.mpf(1e5)
+            ) ** 2
+        assert modular(A, f, mu, 1e-5) == pytest.approx(float(true), rel=1e-13)
+        # t = 1e306 is finite, but the term 1e306 * log(e0 + 1e306)^2 ~ 5e311 is not
+        mu, f = atoms([1.0], [1.0])
+        assert modular(A, f, mu, 1e-306) == math.inf
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+    def test_block_edges(self, n):
+        # every atom carries a comparable share, so a block dropped or
+        # counted twice moves the sum by at least 1/n
+        rng = np.random.default_rng(n)
+        values, weights = rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n) / n
+        mu, f = atoms(values, weights)
+        for A in (YoungFunction.power(2), YoungFunction.log_bump(1, 3)):
+            terms = weights * A.value_array(values / 0.8)
+            assert modular(A, f, mu, 0.8) == pytest.approx(math.fsum(terms), rel=1e-13)
 
 
 class TestLuxemburgNorm:
@@ -146,16 +252,16 @@ def lognormal_instance(seed, n=10_000):
 
 
 def counted_norm(monkeypatch, A, f, mu, tol):
-    """luxemburg_norm, and the size of every array it passes to the kernel."""
+    """luxemburg_norm, and the size of every atom array it builds a kernel on."""
     sizes = []
-    original = YoungFunction._evaluate_into
+    original = norm_module._modular_kernel
 
-    def counting(self, t, scratch):
-        sizes.append(np.size(t))
-        return original(self, t, scratch)
+    def counting(A, a, w):
+        sizes.append(np.size(a))
+        return original(A, a, w)
 
     with monkeypatch.context() as m:
-        m.setattr(YoungFunction, "_evaluate_into", counting)
+        m.setattr(norm_module, "_modular_kernel", counting)
         return luxemburg_norm(A, f, mu, tol), sizes
 
 
