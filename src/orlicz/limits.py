@@ -146,6 +146,14 @@ def classical_p_sweep(f: SampledFunction, mu: DiscreteMeasure, p_schedule) -> Co
     return _finish_report(ps, norms, reference, checks)
 
 
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or math.inf where it exceeds the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LiminfBoundRecord:
     """Characteristic-function lower bound from the delta substitution.
@@ -170,10 +178,7 @@ def liminf_bound_check(m: float, p: float, q: float) -> LiminfBoundRecord:
     if not q >= 1.0:
         raise DomainError(f"bound checks need q >= 1 (Bernoulli regime), got {q}")
     lam = char_norm_closed_form(YoungFunction.log_bump(p, q), m)
-    try:
-        bound = 1.0 / (math.exp(1.0 + 1.0 / (m * q)) - E0)
-    except OverflowError:
-        bound = 0.0
+    bound = 1.0 / (_exp_or_inf(1.0 + 1.0 / (m * q)) - E0)
     if lam >= 1.0:
         return LiminfBoundRecord(m, p, q, lam, bound, True, True)
     return LiminfBoundRecord(m, p, q, lam, bound, False, lam > bound)
@@ -186,6 +191,9 @@ class DeltaRelationRecord:
     For 0 < lam < 1 the identity
         lam^(-p) * log(e0 + 1/lam)^q = (e^(1+delta) - e0)^p * (1+delta)^q
     holds exactly, and the right side dominates 1 + q*delta > q*delta.
+    identity_ok and bernoulli_ok compare logarithms, so they hold at any q;
+    direct and substituted are the two sides, math.inf where they exceed the
+    double range.
     """
 
     lam: float
@@ -210,15 +218,16 @@ def delta_relation_check(
         raise DomainError(f"bound checks need q >= 1 (Bernoulli regime), got {q}")
     inv = 1.0 / lam
     delta = math.log(E0 + inv) - 1.0
-    direct = lam ** (-p) * math.log(E0 + inv) ** q
-    substituted = (math.exp(1.0 + delta) - E0) ** p * (1.0 + delta) ** q
-    rel_err = abs(direct - substituted) / substituted
+    # both sides compared in logs: at large q they leave the double range
+    log_direct = -p * math.log(lam) + q * math.log(math.log(E0 + inv))
+    log_substituted = p * math.log(math.exp(1.0 + delta) - E0) + q * math.log1p(delta)
+    rel_err = abs(math.expm1(log_direct - log_substituted))
     identity_ok = rel_err <= identity_rtol
-    bernoulli_ok = substituted >= 1.0 + q * delta
+    bernoulli_ok = log_substituted >= math.log1p(q * delta)
     tail_ok = 1.0 + q * delta > q * delta
     passed = delta > 0.0 and identity_ok and bernoulli_ok and tail_ok
     return DeltaRelationRecord(
-        lam, p, q, delta, direct, substituted, rel_err,
+        lam, p, q, delta, _exp_or_inf(log_direct), _exp_or_inf(log_substituted), rel_err,
         identity_ok, bernoulli_ok, tail_ok, passed,
     )
 

@@ -16,8 +16,10 @@ once per call, and an evaluation at lam sums
 
 over blocks of 2^16 atoms in one reused buffer, with no allocation and no
 weight dot product.  Each term is w_i A(|f_i|/lam) computed whole in the log
-domain, so a term is inf only when w_i A(|f_i|/lam) itself overflows (or,
-for q > 0, |f_i|/lam does), and 0 when it underflows; f_i = 0 gives 0.
+domain, so a term is inf only when w_i A(|f_i|/lam) itself overflows, and 0
+when it underflows; f_i = 0 gives 0.  In an evaluation where max|f|/lam
+overflows, log(shift + |f_i|/lam) is taken as
+logaddexp(log|f_i| - log lam, log shift).
 
 The solver bisects only on the atoms that can move the modular.  Inside the
 bracket [lo, hi], an atom with |f_i| <= cut adds at most w_i A(cut/lo), so
@@ -26,6 +28,18 @@ about tol/4 together; that bound is computed exactly, charged to the
 tolerance, and reported with the result.  At large q this keeps only the
 atoms near ess sup |f|, the pointwise domination behind the paper's upper
 bound.
+
+With at least 8 * _COARSE_BINS = 32768 atoms kept, the solver starts from a
+narrower bracket.  It merges the kept atoms into _COARSE_BINS geometric bins
+of log|f_i|, solves that coarse function with the same kernel and
+bisection, and evaluates the full kept modular once at the coarse root
+lam_c, giving m.  Every term's d log A / d log t is at least p, so the
+modular falls at least as fast as lam^(-p), and the root lies in
+[lam_c, lam_c * m^(1/p)] when m >= 1 and in [lam_c * m^(1/p), lam_c] when
+m < 1.  That slope-certified bracket, widened by 1e-12 against rounding and
+intersected with [lo, hi], holds however good the estimate is; the estimate
+only decides how narrow it is.  Bisection then proceeds from it as usual,
+unless m is already within tol of 1 and lam_c is the result.
 """
 
 from __future__ import annotations
@@ -53,6 +67,8 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 _BLOCK = 1 << 16  # atoms per kernel block; its 512 KB buffer stays in cache
+_COARSE_BINS = 4096  # bins of the coarse start, taken at 8 * _COARSE_BINS kept atoms
+_SLOPE_MARGIN = 1e-12  # relative widening of a slope-certified bracket end
 
 
 class NormStatus(Enum):
@@ -91,6 +107,7 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray):
     p, q = A.p, A.q
     big = float(a.max())
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
+    log_shift = math.log(A.shift) if q > 0.0 else 0.0
     buf = np.empty(min(len(a), _BLOCK))
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         c = np.log(w)
@@ -111,8 +128,15 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray):
                 if q == 0.0:
                     np.add(c_blk, offset, out=t)
                 else:
-                    np.divide(a_blk, lam, out=t)
-                    A._log_factor_into(t, t)
+                    if big / lam == math.inf:  # log(shift + a_i/lam) from logs
+                        np.log(a_blk, out=t)
+                        t -= math.log(lam)
+                        np.logaddexp(t, log_shift, out=t)
+                        np.log(t, out=t)
+                        t *= q
+                    else:
+                        np.divide(a_blk, lam, out=t)
+                        A._log_factor_into(t, t)
                     t += c_blk
                     t += offset
                 total += float(np.add.reduce(np.exp(t, out=t)))
@@ -125,7 +149,7 @@ def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: floa
     """sum_i w_i A(|f_i| / lam), each term computed whole in the log domain.
 
     A term is math.inf only when w_i A(|f_i|/lam) itself exceeds the double
-    range, or, for q > 0, when |f_i|/lam does; the sum is then math.inf.  A
+    range, even where |f_i|/lam alone does; the sum is then math.inf.  A
     term below the range is 0.0, and f_i = 0 gives 0.0.
     """
     check_aligned(f, mu)
@@ -157,11 +181,16 @@ def luxemburg_norm(
 
     where pruned_mass is their total weight.  The atom attaining M always
     survives, since cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for
-    the kept atoms too.  Bisection at geometric midpoints, whose step count
-    grows only with the log of the bracket's span in decades, drives the
-    kept modular to within tol - pruned_bound of 1, so the full modular
-    meets |modular(lam) - 1| <= tol; it falls back to the relative
-    bracket-width criterion only when double precision is exhausted first.
+    the kept atoms too.  From 8 * _COARSE_BINS kept atoms on, the bracket is
+    first narrowed around the root of the binned atoms, and one evaluation
+    certifies it by the slope bound (module docstring).  Bisection at
+    geometric midpoints, whose step count grows only with the log of the
+    bracket's span in decades, drives the kept modular to within
+    tol - pruned_bound of 1, so the full modular meets
+    |modular(lam) - 1| <= tol; it falls back to the relative bracket-width
+    criterion only when double precision is exhausted first.  iterations
+    counts the evaluations of the kept modular, the certifying one
+    included; the coarse solve's evaluations are not counted.
     """
     check_aligned(f, mu)
     if not tol > 0.0:
@@ -190,15 +219,7 @@ def luxemburg_norm(
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
         absf, weights = absf[keep], weights[keep]
 
-    with _modular_kernel(A, absf, weights) as modular_at:
-
-        def g(lam):
-            return 1.0 - modular_at(lam)
-
-        lam, h, lo, hi, evaluations = _bisect(g, lo, hi, tol - pruned_bound)
-        if math.isinf(h):  # exhausted before either bracket end was evaluated
-            h = g(lam)
-            evaluations += 1
+    lam, h, lo, hi, evaluations = _solve(A, absf, weights, lo, hi, tol - pruned_bound)
     residual = abs(h) + pruned_bound
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(
@@ -208,6 +229,89 @@ def luxemburg_norm(
     return NormResult(
         lam, lo, hi, residual, evaluations, NormStatus.FINITE, pruned_mass, pruned_bound
     )
+
+
+def _solve(A: YoungFunction, a: np.ndarray, w: np.ndarray, lo: float, hi: float, tol: float):
+    """Root of sum_i w_i A(a_i / lam) = 1 for atoms a_i > 0 in the certified
+    bracket [lo, hi], to |residual| <= tol, as luxemburg_norm describes.
+
+    Returns (lam, 1 - modular(lam), lo, hi, evaluations) with the final
+    bracket; evaluations counts this function's kernel at full size only.
+    With at least 8 * _COARSE_BINS atoms it first solves the binned atoms
+    (_coarse_atoms) and certifies a narrower bracket around that estimate
+    with one evaluation (_slope_bracket).
+    """
+    start = None
+    if len(a) >= 8 * _COARSE_BINS:
+        start = _solve(A, *_coarse_atoms(a, w), lo, hi, tol)[0]
+    g_lo = g_hi = math.inf
+    evaluations = 0
+    with _modular_kernel(A, a, w) as modular_at:
+
+        def g(lam):
+            return 1.0 - modular_at(lam)
+
+        if start is not None:
+            m = modular_at(start)
+            evaluations = 1
+            lo, hi, g_lo, g_hi = _slope_bracket(start, m, A.p, lo, hi)
+            if abs(1.0 - m) <= tol:
+                return start, 1.0 - m, lo, hi, evaluations
+        lam, h, lo, hi, steps = _bisect(g, lo, hi, tol, g_lo, g_hi)
+        evaluations += steps
+        if math.isinf(h):  # exhausted before either bracket end was evaluated
+            h = g(lam)
+            evaluations += 1
+    return lam, h, lo, hi, evaluations
+
+
+def _coarse_atoms(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge atoms a_i > 0 into at most _COARSE_BINS atoms.
+
+    The bins split [log min a, log max a] evenly; each nonempty one becomes
+    an atom carrying its members' total weight at their weight-averaged
+    log a_i.  The input is read in blocks of _BLOCK atoms, so nothing of
+    its size is allocated.
+    """
+    log_lo = math.log(float(a.min()))
+    width = (math.log(float(a.max())) - log_lo) / _COARSE_BINS
+    scale = 1.0 / width if width > 0.0 else 0.0  # all equal: one bin
+    mass = np.zeros(_COARSE_BINS)
+    moment = np.zeros(_COARSE_BINS)  # sum of w_i * (position of log a_i in its bin)
+    pos = np.empty(min(len(a), _BLOCK))
+    idx = np.empty(len(pos), dtype=np.intp)
+    with np.errstate(under="ignore"):
+        for start in range(0, len(a), _BLOCK):
+            a_blk, w_blk = a[start : start + _BLOCK], w[start : start + _BLOCK]
+            x, i = pos[: len(a_blk)], idx[: len(a_blk)]
+            np.log(a_blk, out=x)
+            x -= log_lo
+            x *= scale  # in bin widths, 0..._COARSE_BINS up to rounding
+            np.copyto(i, x, casting="unsafe")  # truncation
+            np.minimum(i, _COARSE_BINS - 1, out=i)
+            mass += np.bincount(i, weights=w_blk, minlength=_COARSE_BINS)
+            x -= i  # within [0, 1], so w_i * x stays in range for every w_i
+            x *= w_blk
+            moment += np.bincount(i, weights=x, minlength=_COARSE_BINS)
+    nonempty = np.flatnonzero(mass)
+    mass = mass[nonempty]
+    return np.exp(log_lo + width * (nonempty + moment[nonempty] / mass)), mass
+
+
+def _slope_bracket(lam: float, m: float, p: float, lo: float, hi: float):
+    """The part of [lo, hi] certified to hold the root by m = modular(lam).
+
+    Every term's d log A / d log t is at least p, so the modular falls at
+    least as fast as lam^(-p): the root lies in [lam, lam * m^(1/p)] when
+    m >= 1 and in [lam * m^(1/p), lam] when m < 1.  The computed end is
+    widened by _SLOPE_MARGIN against rounding.  Returns (lo, hi, g_lo, g_hi)
+    for _bisect, with g = 1 - m at lam and inf at the other end.  m = inf or
+    0 certifies only the side of lam, and the other end stays hi or lo.
+    """
+    end = lam * m ** (1.0 / p)
+    if m >= 1.0:
+        return lam, min(hi, end * (1.0 + _SLOPE_MARGIN)), 1.0 - m, math.inf
+    return max(lo, end * (1.0 - _SLOPE_MARGIN)), lam, math.inf, 1.0 - m
 
 
 def char_norm_closed_form(A: YoungFunction, m: float, tol: float = 1e-12) -> float:

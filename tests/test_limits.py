@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orlicz import (
+    E0,
     DiscreteMeasure,
     DomainError,
     InputError,
@@ -132,6 +133,16 @@ class TestDeltaRelation:
     def test_large_q_bernoulli(self):
         rec = delta_relation_check(0.9, 1.0, 1000.0)
         assert rec.bernoulli_ok and rec.tail_ok and rec.passed
+
+    @pytest.mark.parametrize("lam, q", [(0.5, 1e5), (0.999, 1e12)])
+    def test_sides_beyond_double_range(self, lam, q):
+        # lam^(-1) log(e0 + 1/lam)^q exceeds the double range; the checks
+        # are decided in logs and the sides reported as inf
+        rec = delta_relation_check(lam, 1.0, q)
+        assert rec.delta == math.log(E0 + 1.0 / lam) - 1.0
+        assert rec.direct == rec.substituted == math.inf
+        assert rec.identity_rel_err <= 1e-9
+        assert rec.identity_ok and rec.bernoulli_ok and rec.passed
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -0.2])
     def test_domain(self, lam):

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from orlicz import (
     modular,
     p_norm,
 )
-from conftest import atoms, random_instance
+from conftest import atoms, modular_longdouble, random_instance
 
 CHAR_NORM_M2 = 1.6781174572305117  # root of (1/l) * ln(e0 + 1/l) = 1/2
 P_NORM_GOLD = 2.7412947864931966  # (0.1 + 1.6 + 18.9)^(1/3)
@@ -73,8 +74,8 @@ def modular_oracle(A, values, weights, lam):
     """sum_i w_i A(|f_i|/lam) at 50 digits, the expected double, and the error
     scale S of the kernel's exponent c_i + p (log M - log lam) + q log ell_i.
 
-    Expected is inf when a term exceeds the double range, or for q > 0 when
-    |f_i|/lam overflows; None when a term lies within 1e-9 of that edge.  S
+    Expected is inf when a term exceeds the double range; None when a term
+    lies within 1e-9 of that edge.  S
     is 1 plus the largest, over the terms that carry at least 1e-20 of the
     sum, of the magnitudes whose rounding enters the exponent: |log w_i|,
     p |log a_i|, 2 p |log M|, p |log lam|, and q (1 + |log ell_i|) /
@@ -82,8 +83,6 @@ def modular_oracle(A, values, weights, lam):
     """
     a = [abs(v) for v in values]
     big = max(a)
-    if A.q > 0.0 and any(x / lam == math.inf for x in a):
-        return None, math.inf, 1.0
     logs, scales = [], []
     with mpmath.workdps(50):
         for x, w in zip(a, weights):
@@ -150,6 +149,12 @@ class TestModularKernel:
         # t = 1e306 is finite, but the term 1e306 * log(e0 + 1e306)^2 ~ 5e311 is not
         mu, f = atoms([1.0], [1.0])
         assert modular(A, f, mu, 1e-306) == math.inf
+        # t = 1e450 overflows, but the term 1e-300 * t * log(e0 + t) ~ 1.04e153 does not
+        mu, f = atoms([1e300], [1e-300])
+        with mpmath.workdps(50):
+            t = mpmath.mpf(1e300) / mpmath.mpf(1e-150)
+            true = mpmath.mpf(1e-300) * t * mpmath.log(E0 + t)
+        assert modular(B11, f, mu, 1e-150) == pytest.approx(float(true), rel=1e-13)
 
     @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
     def test_block_edges(self, n):
@@ -251,20 +256,6 @@ def lognormal_instance(seed, n=10_000):
     return atoms(rng.lognormal(0.0, 1.0, n), rng.uniform(0.1, 1.0, n) / n)
 
 
-def counted_norm(monkeypatch, A, f, mu, tol):
-    """luxemburg_norm, and the size of every atom array it builds a kernel on."""
-    sizes = []
-    original = norm_module._modular_kernel
-
-    def counting(A, a, w):
-        sizes.append(np.size(a))
-        return original(A, a, w)
-
-    with monkeypatch.context() as m:
-        m.setattr(norm_module, "_modular_kernel", counting)
-        return luxemburg_norm(A, f, mu, tol), sizes
-
-
 PRUNE_TOL = 1e-10
 EDGE_CASES = {
     "zero_atoms": ([0.0, 2.0, 0.0, 1.0, 0.5, 0.0], [1.0, 0.2, 3.0, 0.3, 0.1, 1e3]),
@@ -273,6 +264,41 @@ EDGE_CASES = {
     "mass_3e299": (np.linspace(0.5, 4.0, 100), np.full(100, 3e297)),
     "extreme_values": ([1e-300, 1.0, 1e300], [1e-300, 0.5, 1e-300]),
 }
+
+
+def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
+    """luxemburg_norm; every call of _slope_bracket as ((lam, m, lo, hi),
+    its result); and [atom count, evaluations] of every kernel built."""
+    brackets, kernels = [], []
+    kernel, slope_bracket = norm_module._modular_kernel, norm_module._slope_bracket
+
+    @contextmanager
+    def counting_kernel(A, a, w):
+        count = [np.size(a), 0]
+        kernels.append(count)
+        with kernel(A, a, w) as modular_at:
+
+            def counted(lam):
+                count[1] += 1
+                return modular_at(lam)
+
+            yield counted
+
+    def recording(lam, m, p, lo, hi):
+        out = slope_bracket(lam, m, p, lo, hi)
+        brackets.append(((lam, m, lo, hi), out))
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(norm_module, "_modular_kernel", counting_kernel)
+        mp.setattr(norm_module, "_slope_bracket", recording)
+        return luxemburg_norm(A, f, mu, tol), brackets, kernels
+
+
+def counted_norm(monkeypatch, A, f, mu, tol):
+    """luxemburg_norm, and the size of every atom array it builds a kernel on."""
+    res, _, kernels = traced_norm(monkeypatch, A, f, mu, tol)
+    return res, [size for size, _ in kernels]
 
 
 class TestPruning:
@@ -321,6 +347,92 @@ class TestPruning:
         assert res.residual <= PRUNE_TOL
         # log-scale bisection: brackets spanning 600 decades cost no more
         assert res.iterations <= 64
+
+
+COARSE_N = 8 * norm_module._COARSE_BINS  # fewest kept atoms that take the coarse start
+
+# atom values from a cluster in [0.9, 1), which no tested p, q prunes
+COARSE_CASES = {
+    "below_threshold": lambda c: c[1:],
+    "at_threshold": lambda c: c,
+    "wide_values": lambda c: np.concatenate([1e300 * c, np.geomspace(1e-300, 1e300, 4096)]),
+    "all_equal": lambda c: np.full(len(c), 3.0),
+    "bin_edges": lambda c: np.repeat(np.exp(1e-5 * np.arange(4097)), 8),
+    "zeros_pruned": lambda c: np.concatenate([c, np.zeros(4096), 1e-30 * c[:4096]]),
+    "extreme_weights": lambda c: c,
+}
+
+
+def coarse_case(name):
+    rng = np.random.default_rng(len(name))
+    values = COARSE_CASES[name](rng.uniform(0.9, 1.0, COARSE_N))
+    if name == "extreme_weights":
+        return values, rng.choice([1e-300, 1e3], len(values))
+    return values, rng.uniform(0.1, 1.0, len(values)) / len(values)
+
+
+def check_coarse_start(A, values, weights, res, brackets, kernels):
+    """The certified bracket holds against the long-double oracle, it is no
+    wider than the closed form or the slope bound, iterations counts the
+    full-size evaluations, and the full modular meets tol at the value."""
+    kept = max(size for size, _ in kernels)
+    assert res.iterations == sum(n for size, n in kernels if size == kept)
+    for (lam, m, lo, hi), (lo2, hi2, _, _) in brackets:
+        assert lo <= lo2 <= hi2 <= hi and lam in (lo2, hi2)
+        assert hi2 / lo2 <= max(m, 1.0 / m) ** (1.0 / A.p) * (1.0 + 3e-12)
+        if res.value != lam:  # else |1 - m| <= tol and lam was returned at once
+            assert modular_longdouble(A, values, weights, lo2) >= 1.0
+            assert modular_longdouble(A, values, weights, hi2) <= 1.0 + res.pruned_bound
+    assert res.status is NormStatus.FINITE and res.residual <= PRUNE_TOL
+    assert abs(modular_longdouble(A, values, weights, res.value) - 1.0) <= PRUNE_TOL
+
+
+class TestCoarseStart:
+    """From COARSE_N kept atoms on, luxemburg_norm solves binned atoms first
+    and bisects from the bracket one full evaluation certifies around them."""
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
+    @pytest.mark.parametrize("case", sorted(COARSE_CASES))
+    def test_certified_bracket(self, monkeypatch, case, p, q):
+        values, weights = coarse_case(case)
+        mu, f = atoms(values, weights)
+        A = YoungFunction.log_bump(p, q)
+        res, brackets, kernels = traced_norm(monkeypatch, A, f, mu)
+        kept = max(size for size, _ in kernels)
+        assert len(brackets) == (kept >= COARSE_N) == (case != "below_threshold")
+        if brackets:  # one coarse kernel, on at most _COARSE_BINS atoms
+            assert [s for s, _ in kernels if s != kept] == [min(s for s, _ in kernels)]
+            assert min(s for s, _ in kernels) <= norm_module._COARSE_BINS
+        if case == "all_equal":  # one bin: the coarse root is the root
+            assert res.iterations == 1
+        if case == "zeros_pruned":
+            assert res.pruned_mass > 0.0
+        check_coarse_start(A, values, weights, res, brackets, kernels)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("q", [0.0, 100.0])
+    def test_bad_estimate(self, monkeypatch, scale, q):
+        # a coarse root far off still yields a certified bracket
+        coarse_atoms = norm_module._coarse_atoms
+
+        def scaled(a, w):
+            values, masses = coarse_atoms(a, w)
+            return scale * values, masses
+
+        monkeypatch.setattr(norm_module, "_coarse_atoms", scaled)
+        values, weights = coarse_case("at_threshold")
+        mu, f = atoms(values, weights)
+        A = YoungFunction.log_bump(1.0, q)
+        res, brackets, kernels = traced_norm(monkeypatch, A, f, mu)
+        assert len(brackets) == 1
+        check_coarse_start(A, values, weights, res, brackets, kernels)
+
+    def test_few_evaluations(self):
+        mu, f = lognormal_instance(seed=3, n=100_000)
+        res = luxemburg_norm(YoungFunction.log_bump(2, 1), f, mu, PRUNE_TOL)
+        assert res.pruned_mass == 0.0
+        assert res.iterations <= 20
 
 
 class TestCharNormClosedForm:
