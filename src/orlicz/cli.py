@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,41 +36,10 @@ from .measure import (
 from .norm import DEFAULT_TOL, luxemburg_norm
 from .young import E0, E, YoungFunction, check_young, compare, default_grid
 
-__all__ = ["RunConfig", "run", "main", "build_preset", "parse_schedule"]
+__all__ = ["main", "build_preset", "parse_schedule"]
 
 _SHIFTS = {"e0": E0, "e": E}
 _LOG_MAX = math.log(sys.float_info.max)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus the knobs it consumes.
-
-    Exactly one of preset / input_path may be set for data-driven commands.
-    """
-
-    command: str
-    p: float = 1.0
-    q: float = 1.0
-    shift: str = "e0"
-    q_grid: str | None = None
-    p_grid: str | None = None
-    grid: str | None = None
-    m: float = 1.0
-    tol: float = DEFAULT_TOL
-    preset: str | None = None
-    input_path: str | None = None
-    output: str | None = None
-    fmt: str = "csv"
-
-    def validate(self) -> None:
-        if self.tol <= 0.0:
-            raise InputError(f"tol must be positive, got {self.tol}")
-        if self.shift not in _SHIFTS:
-            raise InputError(f"shift must be one of {sorted(_SHIFTS)}, got {self.shift}")
-        if self.command in ("norm", "sweep", "classical"):
-            if (self.preset is None) == (self.input_path is None):
-                raise InputError("exactly one of --preset or --input is required")
 
 
 def parse_schedule(spec: str) -> tuple[float, ...]:
@@ -161,10 +129,10 @@ def build_preset(spec: str) -> tuple[DiscreteMeasure, SampledFunction]:
     )
 
 
-def _load_data(cfg: RunConfig) -> tuple[DiscreteMeasure, SampledFunction]:
-    if cfg.preset is not None:
-        return build_preset(cfg.preset)
-    return load_csv(cfg.input_path)
+def _load_data(args: argparse.Namespace) -> tuple[DiscreteMeasure, SampledFunction]:
+    if args.preset is not None:
+        return build_preset(args.preset)
+    return load_csv(args.input_path)
 
 
 def _fmt(x) -> str:
@@ -177,8 +145,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(rows: list[dict], columns: list[str], cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(rows: list[dict], columns: list[str], args: argparse.Namespace) -> None:
+    if args.fmt == "json":
         text = json.dumps(
             [{c: row.get(c) for c in columns} for row in rows], indent=2
         ) + "\n"
@@ -186,16 +154,16 @@ def _emit(rows: list[dict], columns: list[str], cfg: RunConfig) -> None:
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
         text = "\n".join(lines) + "\n"
-    if cfg.output is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(cfg.output).write_text(text)
+        Path(args.output).write_text(text)
 
 
-def _run_norm(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    mu, f = _load_data(cfg)
-    A = YoungFunction.log_bump(cfg.p, cfg.q, shift=_SHIFTS[cfg.shift])
-    res = luxemburg_norm(A, f, mu, cfg.tol)
+def _run_norm(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
+    mu, f = _load_data(args)
+    A = YoungFunction.log_bump(args.p, args.q, shift=_SHIFTS[args.shift])
+    res = luxemburg_norm(A, f, mu, args.tol)
     row = {
         "value": res.value,
         "bracket_lo": res.bracket_lo,
@@ -207,28 +175,28 @@ def _run_norm(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     return [row], list(row)
 
 
-def _run_sweep(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    mu, f = _load_data(cfg)
-    report = limit_sweep(f, mu, cfg.p, parse_schedule(cfg.q_grid), cfg.tol)
+def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
+    mu, f = _load_data(args)
+    report = limit_sweep(f, mu, args.p, parse_schedule(args.q_grid), args.tol)
     rows = convergence_rows(report, key="q")
     return rows, list(rows[0])
 
 
-def _run_classical(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    mu, f = _load_data(cfg)
-    report = classical_p_sweep(f, mu, parse_schedule(cfg.p_grid))
+def _run_classical(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
+    mu, f = _load_data(args)
+    report = classical_p_sweep(f, mu, parse_schedule(args.p_grid))
     rows = convergence_rows(report, key="p")
     return rows, list(rows[0])
 
 
-def _run_bounds(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def _run_bounds(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
     columns = [
         "q", "lambda", "lower_bound", "vacuous", "liminf_pass",
         "delta", "identity_pass", "bernoulli_pass", "pass",
     ]
     rows = []
-    for q in parse_schedule(cfg.q_grid):
-        rec = liminf_bound_check(cfg.m, cfg.p, q)
+    for q in parse_schedule(args.q_grid):
+        rec = liminf_bound_check(args.m, args.p, q)
         row = {
             "q": q,
             "lambda": rec.norm_value,
@@ -238,7 +206,7 @@ def _run_bounds(cfg: RunConfig) -> tuple[list[dict], list[str]]:
         }
         ok = rec.passed
         if not rec.vacuous:
-            dr = delta_relation_check(rec.norm_value, cfg.p, q)
+            dr = delta_relation_check(rec.norm_value, args.p, q)
             row.update(
                 delta=dr.delta,
                 identity_pass=dr.identity_ok,
@@ -250,9 +218,9 @@ def _run_bounds(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     return rows, columns
 
 
-def _run_check_young(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    grid = parse_schedule(cfg.grid) if cfg.grid else default_grid()
-    report = check_young(YoungFunction(cfg.p, cfg.q, _SHIFTS[cfg.shift]), grid)
+def _run_check_young(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
+    grid = parse_schedule(args.grid) if args.grid else default_grid()
+    report = check_young(YoungFunction(args.p, args.q, _SHIFTS[args.shift]), grid)
     rows = [
         {"axiom": c.name, "passed": c.passed, "violation_t": c.violation_t}
         for c in report.checks
@@ -260,10 +228,10 @@ def _run_check_young(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     return rows, ["axiom", "passed", "violation_t"]
 
 
-def _run_compare(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    grid = parse_schedule(cfg.grid) if cfg.grid else default_grid()
-    A_e0 = YoungFunction.log_bump(cfg.p, cfg.q, shift=E0)
-    A_e = YoungFunction.log_bump(cfg.p, cfg.q, shift=E)
+def _run_compare(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
+    grid = parse_schedule(args.grid) if args.grid else default_grid()
+    A_e0 = YoungFunction.log_bump(args.p, args.q, shift=E0)
+    A_e = YoungFunction.log_bump(args.p, args.q, shift=E)
     rows = []
     for label, a, b in (("e0_in_e", A_e0, A_e), ("e_in_e0", A_e, A_e0)):
         res = compare(a, b, grid)
@@ -281,20 +249,6 @@ _COMMANDS = {
     "check-young": _run_check_young,
     "compare": _run_compare,
 }
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    try:
-        cfg.validate()
-        _emit(*_COMMANDS[cfg.command](cfg), cfg)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _add_common(sub, data: bool, schedule: str | None = None) -> None:
@@ -354,14 +308,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one orlicz command; returns the process exit code."""
     try:
-        ns = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    fields = {k: v for k, v in vars(ns).items() if v is not None}
-    cfg = RunConfig(**fields)
-    return run(cfg)
+    try:
+        _emit(*_COMMANDS[args.command](args), args)
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # InputError and DomainError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

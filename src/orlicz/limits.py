@@ -191,9 +191,10 @@ class DeltaRelationRecord:
     For 0 < lam < 1 the identity
         lam^(-p) * log(e0 + 1/lam)^q = (e^(1+delta) - e0)^p * (1+delta)^q
     holds exactly, and the right side dominates 1 + q*delta > q*delta.
-    identity_ok and bernoulli_ok compare logarithms, so they hold at any q;
-    direct and substituted are the two sides, math.inf where they exceed the
-    double range.
+    identity_ok and bernoulli_ok compare logarithms, so they hold at any q.
+    tail_ok decides 1 + q*delta > q*delta exactly, not in rounded doubles:
+    it is True whenever q*delta is finite.  direct and substituted are the
+    two sides, math.inf where they exceed the double range.
     """
 
     lam: float
@@ -224,7 +225,7 @@ def delta_relation_check(
     rel_err = abs(math.expm1(log_direct - log_substituted))
     identity_ok = rel_err <= identity_rtol
     bernoulli_ok = log_substituted >= math.log1p(q * delta)
-    tail_ok = 1.0 + q * delta > q * delta
+    tail_ok = math.isfinite(q * delta)
     passed = delta > 0.0 and identity_ok and bernoulli_ok and tail_ok
     return DeltaRelationRecord(
         lam, p, q, delta, _exp_or_inf(log_direct), _exp_or_inf(log_substituted), rel_err,

@@ -59,6 +59,10 @@ class DiscreteMeasure:
             raise InputError("coordinates must be finite")
         if not np.all(np.isfinite(weights)) or not np.all(weights > 0.0):
             raise InputError("weights must be finite and strictly positive")
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not np.isfinite(total):
+            raise InputError("the total weight overflows the double range")
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "weights", weights)
 

@@ -21,25 +21,15 @@ when it underflows; f_i = 0 gives 0.  In an evaluation where max|f|/lam
 overflows, log(shift + |f_i|/lam) is taken as
 logaddexp(log|f_i| - log lam, log shift).
 
-The solver bisects only on the atoms that can move the modular.  Inside the
-bracket [lo, hi], an atom with |f_i| <= cut adds at most w_i A(cut/lo), so
-the atoms below cut = lo * A^{-1}(tol / (4 * support mass)) add at most
-about tol/4 together; that bound is computed exactly, charged to the
-tolerance, and reported with the result.  At large q this keeps only the
-atoms near ess sup |f|, the pointwise domination behind the paper's upper
-bound.
-
-With at least 8 * _COARSE_BINS = 32768 atoms kept, the solver starts from a
-narrower bracket.  It merges the kept atoms into _COARSE_BINS geometric bins
-of log|f_i|, solves that coarse function with the same kernel and
-bisection, and evaluates the full kept modular once at the coarse root
-lam_c, giving m.  Every term's d log A / d log t is at least p, so the
-modular falls at least as fast as lam^(-p), and the root lies in
-[lam_c, lam_c * m^(1/p)] when m >= 1 and in [lam_c * m^(1/p), lam_c] when
-m < 1.  That slope-certified bracket, widened by 1e-12 against rounding and
-intersected with [lo, hi], holds however good the estimate is; the estimate
-only decides how narrow it is.  Bisection then proceeds from it as usual,
-unless m is already within tol of 1 and lam_c is the result.
+Two steps shrink the work before bisection.  Pruning drops the atoms too
+small to move the modular anywhere in the bracket and charges their exact
+bound to the tolerance; at large q it keeps only the atoms near
+ess sup |f|, the pointwise domination behind the paper's upper bound.  With
+at least 8 * _COARSE_BINS kept atoms, a coarse start solves those atoms
+merged into _COARSE_BINS geometric bins of log|f_i|, and one full
+evaluation at that root certifies a narrower bracket by the slope bound
+(_slope_bracket).  The bracket holds however poor the coarse root is; the
+coarse root decides only its width.
 """
 
 from __future__ import annotations
@@ -181,16 +171,14 @@ def luxemburg_norm(
 
     where pruned_mass is their total weight.  The atom attaining M always
     survives, since cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for
-    the kept atoms too.  From 8 * _COARSE_BINS kept atoms on, the bracket is
-    first narrowed around the root of the binned atoms, and one evaluation
-    certifies it by the slope bound (module docstring).  Bisection at
-    geometric midpoints, whose step count grows only with the log of the
-    bracket's span in decades, drives the kept modular to within
+    the kept atoms too.  Large inputs then narrow it by the coarse start
+    (module docstring).  Bisection drives the kept modular to within
     tol - pruned_bound of 1, so the full modular meets
     |modular(lam) - 1| <= tol; it falls back to the relative bracket-width
-    criterion only when double precision is exhausted first.  iterations
-    counts the evaluations of the kept modular, the certifying one
-    included; the coarse solve's evaluations are not counted.
+    criterion only when double precision is exhausted first, and raises
+    NumericError when that leaves the residual above tol.  iterations
+    counts the evaluations of the kept modular, the coarse start's
+    certifying one included and its binned solve not.
     """
     check_aligned(f, mu)
     if not tol > 0.0:

@@ -7,10 +7,7 @@ an equality rather than an equivalence.  Every log-bump is evaluated in the
 log domain, as exp(p*log(t) + q*log(log(shift + t))): the direct product
 leaves the double-precision exponent range long before the quantities of
 interest stop being meaningful.  A log-bump needs shift > 1, so that the
-log factor is positive on the whole axis.  One kernel evaluates A in place
-and value_array is a checked copy around it; the log factor's term
-q*log(log(shift + t)) is one helper that this kernel and the norm module's
-modular kernel share.
+log factor is positive on the whole axis.
 """
 
 from __future__ import annotations
@@ -90,33 +87,28 @@ class YoungFunction:
         return self.value(t)
 
     def value_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized A(t) in a fresh array, t untouched; same semantics as value()."""
+        """Vectorized A(t) in a fresh array, t untouched; same semantics as value().
+
+        shift > 1 keeps log(log(shift + t)) finite, so log(0) = -inf gives
+        A(0) = 0 exactly.
+        """
         t = np.asarray(t, dtype=float)
         if t.size and not t.min() >= 0.0:  # a NaN makes the min NaN
             raise DomainError("A(t) requires t >= 0")
-        out = np.add(t, 0.0, out=np.empty_like(t))  # a copy with -0.0 made +0.0
-        return self._evaluate_into(out, np.empty_like(t))
-
-    def _evaluate_into(self, t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Overwrite t (entries +0.0, positive or inf; unchecked) with A(t).
-
-        Returns t and clobbers scratch; allocates nothing.  shift > 1 keeps
-        log(log(shift + t)) finite, so log(0) = -inf gives A(0) = 0 exactly.
-        """
+        t = np.add(t, 0.0, out=np.empty_like(t))  # a copy with -0.0 made +0.0
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             if self.q == 0.0:
                 return np.power(t, self.p, out=t)
-            self._log_factor_into(t, scratch)
-            np.log(t, out=t)
-            t *= self.p
-            t += scratch
-            return np.exp(t, out=t)
+            log_a = self.p * np.log(t) + self._log_factor_into(t, np.empty_like(t))
+            return np.exp(log_a, out=t)
 
     def _log_factor_into(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write q * log(log(shift + t)), the log of A's log factor, into out.
 
-        out may be t itself.  Returns out; allocates nothing and runs under
-        the caller's floating-point error state.  t = inf gives inf.
+        The one array form of the log factor: value_array and the norm
+        module's modular kernel both call it.  out may be t itself.  Returns
+        out; allocates nothing and runs under the caller's floating-point
+        error state.  t = inf gives inf.
         """
         np.add(t, self.shift, out=out)
         np.log(out, out=out)

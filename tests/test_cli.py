@@ -213,6 +213,25 @@ class TestExitCodes:
         data.write_text("a,b\n1,2\n")
         assert run_cli("norm", "--input", str(data), "--p", "1", "--q", "1") == 1
 
+    def test_overflowing_total_weight_reaches_stderr(self, tmp_path, capsys):
+        data = tmp_path / "heavy.csv"
+        data.write_text("x,weight,value\n0,1e308,1\n1,1e308,2\n")
+        assert run_cli("norm", "--input", str(data), "--p", "1", "--q", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "total weight overflows" in captured.err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize(
+        "command", [["norm"], ["sweep", "--q-grid", "1:100:3:log"]], ids=["norm", "sweep"]
+    )
+    def test_bad_tol_is_validation_error(self, capsys, command, tol):
+        args = command + ["--preset", "indicator:0.5", "--tol", tol]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tol must be positive" in captured.err
+
     def test_missing_source_is_validation_error(self, capsys):
         assert run_cli("norm", "--p", "1", "--q", "1") == 1
 

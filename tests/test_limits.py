@@ -149,6 +149,13 @@ class TestDeltaRelation:
         with pytest.raises(DomainError):
             delta_relation_check(lam, 1.0, 1.0)
 
+    @pytest.mark.parametrize("q", [1e17, 1e300])
+    def test_tail_holds_past_double_resolution(self, q):
+        # 1 + q*delta rounds to q*delta here, yet 1 + x > x for every real x
+        rec = delta_relation_check(0.5, 1.0, q)
+        assert 1.0 + q * rec.delta == q * rec.delta
+        assert rec.tail_ok and rec.identity_ok and rec.bernoulli_ok and rec.passed
+
 
 class TestUpperBoundThreshold:
     def test_unit_indicator_threshold_at_first_entry(self):

@@ -25,6 +25,11 @@ class TestConstruction:
         with pytest.raises(InputError):
             DiscreteMeasure([0.0], [-1.0])
 
+    def test_total_weight_must_be_finite(self):
+        # each weight is finite, their sum is not; numpy must not warn
+        with pytest.raises(InputError, match="total weight overflows"):
+            DiscreteMeasure([0.0, 1.0], [1e308, 1e308])
+
     def test_needs_an_atom(self):
         with pytest.raises(InputError):
             DiscreteMeasure([], [])

@@ -115,19 +115,6 @@ class TestEvalForms:
         assert np.all(got[1:] >= got[:-1])  # A is increasing
         assert got.tobytes() == A.value_array(np.abs(t)).tobytes()
 
-    @pytest.mark.parametrize("shift", [E0, E])
-    @pytest.mark.parametrize("q", [0.0, 1.0, 1e5])
-    @pytest.mark.parametrize("p", [1.0, 3.0])
-    def test_kernel_is_in_place(self, p, q, shift):
-        t = np.abs(EDGE_ENTRIES)  # the solver feeds |f| / lam, never -0.0
-        A = YoungFunction(p, q, shift)
-        work, scratch = t.copy(), np.empty_like(t)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = A._evaluate_into(work, scratch)
-        assert out is work
-        assert out.tobytes() == A.value_array(t).tobytes()
-
     def test_q_zero_ignores_the_log_factor(self):
         # log(0.5 + t) < 0 for t < 0.5; at q = 0 it must never enter
         A = YoungFunction.log_bump(2, 0, shift=0.5)
