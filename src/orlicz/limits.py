@@ -222,7 +222,8 @@ def delta_relation_check(
     # both sides compared in logs: at large q they leave the double range
     log_direct = -p * math.log(lam) + q * math.log(math.log(E0 + inv))
     log_substituted = p * math.log(math.exp(1.0 + delta) - E0) + q * math.log1p(delta)
-    rel_err = abs(math.expm1(log_direct - log_substituted))
+    diff = log_direct - log_substituted  # rounding at large q can set them 709+ apart
+    rel_err = abs(math.expm1(diff)) if diff < 709.0 else _exp_or_inf(diff)
     identity_ok = rel_err <= identity_rtol
     bernoulli_ok = log_substituted >= math.log1p(q * delta)
     tail_ok = math.isfinite(q * delta)

@@ -143,6 +143,8 @@ def quadrature_from_samples(xs, ys) -> tuple[DiscreteMeasure, SampledFunction]:
         raise InputError("xs and ys must be one-dimensional and equally long")
     if len(x) < 2:
         raise InputError("quadrature needs at least two sample points")
+    if not math.isfinite(float(x.max()) - float(x.min())):  # before np.diff can overflow
+        raise InputError("xs must span a finite interval")
     if not np.all(np.diff(x) > 0.0):
         raise InputError("xs must be strictly increasing")
     w = np.empty_like(x)

@@ -3,10 +3,11 @@
 The norm is the root of the modular equation sum_i w_i A(|f_i|/lam) = 1,
 which is continuous and strictly decreasing in lam wherever it is finite.
 In this discrete model the infimum in the norm definition is attained, so
-the solver targets the equation directly: it bisects lam in log scale
-(young._bisect, the package's one root-finding rule) from an analytically
-certified bracket, since lam is a positive scale whose accuracy is
-relative and the bracket can span hundreds of decades.
+the solver targets the equation directly, in log scale from an
+analytically certified bracket, since lam is a positive scale whose
+accuracy is relative and the bracket can span hundreds of decades: by
+bisection (young._bisect, the package's one bisection rule), or on large
+inputs by safeguarded Newton steps.
 
 One kernel evaluates the modular for both modular() and the solver.  With
 M = max |f|, it builds the log weights c_i = log w_i + p*(log|f_i| - log M)
@@ -14,22 +15,23 @@ once per call, and an evaluation at lam sums
 
     exp(c_i + p*(log M - log lam) + q*log(log(shift + |f_i|/lam)))
 
-over blocks of 2^16 atoms in one reused buffer, with no allocation and no
-weight dot product.  Each term is w_i A(|f_i|/lam) computed whole in the log
+over blocks of 2^16 atoms in one reused buffer (two for the slope), with
+no allocation and no weight dot product.  Each term is w_i A(|f_i|/lam) computed whole in the log
 domain, so a term is inf only when w_i A(|f_i|/lam) itself overflows, and 0
 when it underflows; f_i = 0 gives 0.  In an evaluation where max|f|/lam
 overflows, log(shift + |f_i|/lam) is taken as
 logaddexp(log|f_i| - log lam, log shift).
 
-Two steps shrink the work before bisection.  Pruning drops the atoms too
+Pruning shrinks the work before the root search: it drops the atoms too
 small to move the modular anywhere in the bracket and charges their exact
 bound to the tolerance; at large q it keeps only the atoms near
-ess sup |f|, the pointwise domination behind the paper's upper bound.  With
-at least 8 * _COARSE_BINS kept atoms, a coarse start solves those atoms
-merged into _COARSE_BINS geometric bins of log|f_i|, and one full
-evaluation at that root certifies a narrower bracket by the slope bound
-(_slope_bracket).  The bracket holds however poor the coarse root is; the
-coarse root decides only its width.
+ess sup |f|, the pointwise domination behind the paper's upper bound.
+
+With at least _NEWTON_MIN_ATOMS kept atoms, Newton steps replace
+bisection (_newton).  By the delta substitution the slope
+d log A / d log t = p + q t / ((shift + t) log(shift + t)) is closed form,
+so the kernel sums the modular's slope in the same pass, and the steps
+start at lo, where the modular is >= 1.  Smaller solves still bisect.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 _BLOCK = 1 << 16  # atoms per kernel block; its 512 KB buffer stays in cache
-_COARSE_BINS = 4096  # bins of the coarse start, taken at 8 * _COARSE_BINS kept atoms
-_SLOPE_MARGIN = 1e-12  # relative widening of a slope-certified bracket end
+_NEWTON_MIN_ATOMS = 1 << 15  # kept atoms from which the solver takes Newton steps
 
 
 class NormStatus(Enum):
@@ -90,15 +91,18 @@ class NormResult:
 
 
 @contextmanager
-def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray):
+def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, slope: bool = False):
     """Yield lam -> sum_i w_i A(a_i / lam) over fixed atoms a_i >= 0, w_i > 0,
-    evaluated as the module docstring describes.  The floating-point error
-    state is entered once, for every call."""
+    evaluated as the module docstring describes.  With slope it returns
+    (S, D) instead: S that sum, bit for bit, and D = sum_i term_i * (p + q r_i),
+    each term times its d log A / d log t, from the same block buffers.  The
+    floating-point error state is entered once, for every call."""
     p, q = A.p, A.q
     big = float(a.max())
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
     buf = np.empty(min(len(a), _BLOCK))
+    ell_buf = np.empty(len(buf)) if slope and q > 0.0 else None
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         c = np.log(w)
         blocks = []
@@ -111,26 +115,38 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray):
             c_blk += t
             blocks.append((a_blk, c_blk, t))
 
-        def modular_at(lam: float) -> float:
+        def modular_at(lam: float):
             offset = p * (log_big - math.log(lam))
-            total = 0.0
+            total = weighted = 0.0
             for a_blk, c_blk, t in blocks:
                 if q == 0.0:
-                    np.add(c_blk, offset, out=t)
+                    term = np.add(c_blk, offset, out=t)
                 else:
+                    # with slope the term goes to the second buffer and t ends
+                    # as r = t / ((shift + t) L), L = log(shift + t)
+                    term = t if ell_buf is None else ell_buf[: len(a_blk)]
                     if big / lam == math.inf:  # log(shift + a_i/lam) from logs
                         np.log(a_blk, out=t)
                         t -= math.log(lam)
-                        np.logaddexp(t, log_shift, out=t)
-                        np.log(t, out=t)
-                        t *= q
+                        np.logaddexp(t, log_shift, out=term)
+                        if slope:
+                            np.exp(np.subtract(t, term, out=t), out=t)
                     else:
                         np.divide(a_blk, lam, out=t)
-                        A._log_factor_into(t, t)
-                    t += c_blk
-                    t += offset
-                total += float(np.add.reduce(np.exp(t, out=t)))
-            return total
+                        np.add(t, A.shift, out=term)
+                        if slope:
+                            t /= term
+                        np.log(term, out=term)
+                    if slope:
+                        t /= term  # r, while L is still in a buffer
+                    np.log(term, out=term)
+                    term *= q
+                    term += c_blk
+                    term += offset
+                total += float(np.add.reduce(np.exp(term, out=term)))
+                if ell_buf is not None:
+                    weighted += float(np.add.reduce(np.multiply(t, term, out=t)))
+            return (total, p * total + q * weighted) if slope else total
 
         yield modular_at
 
@@ -155,7 +171,7 @@ def luxemburg_norm(
     mu: DiscreteMeasure,
     tol: float = DEFAULT_TOL,
 ) -> NormResult:
-    """Luxemburg norm inf{lam > 0 : modular(lam) <= 1} by log-scale bisection.
+    """Luxemburg norm inf{lam > 0 : modular(lam) <= 1} by a bracketed root search.
 
     The starting bracket is certified in closed form: with M = ess sup |f|,
     s = mass of the support and w = weight of the first atom attaining M,
@@ -171,14 +187,14 @@ def luxemburg_norm(
 
     where pruned_mass is their total weight.  The atom attaining M always
     survives, since cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for
-    the kept atoms too.  Large inputs then narrow it by the coarse start
-    (module docstring).  Bisection drives the kept modular to within
-    tol - pruned_bound of 1, so the full modular meets
-    |modular(lam) - 1| <= tol; it falls back to the relative bracket-width
-    criterion only when double precision is exhausted first, and raises
-    NumericError when that leaves the residual above tol.  iterations
-    counts the evaluations of the kept modular, the coarse start's
-    certifying one included and its binned solve not.
+    the kept atoms too.  Bisection, or Newton steps on large inputs (module
+    docstring), drives the kept modular to within tol - pruned_bound of 1,
+    so the full modular meets |modular(lam) - 1| <= tol; it falls back to
+    the relative bracket-width criterion only when double precision is
+    exhausted first, and raises NumericError when that leaves the residual
+    above tol.  iterations counts the evaluations of the kept modular,
+    each over every kept atom; the inverses behind the bracket and the cut
+    are not counted.
     """
     check_aligned(f, mu)
     if not tol > 0.0:
@@ -224,82 +240,62 @@ def _solve(A: YoungFunction, a: np.ndarray, w: np.ndarray, lo: float, hi: float,
     bracket [lo, hi], to |residual| <= tol, as luxemburg_norm describes.
 
     Returns (lam, 1 - modular(lam), lo, hi, evaluations) with the final
-    bracket; evaluations counts this function's kernel at full size only.
-    With at least 8 * _COARSE_BINS atoms it first solves the binned atoms
-    (_coarse_atoms) and certifies a narrower bracket around that estimate
-    with one evaluation (_slope_bracket).
+    bracket.  From _NEWTON_MIN_ATOMS atoms on it takes Newton steps
+    (_newton); below, it bisects.
     """
-    start = None
-    if len(a) >= 8 * _COARSE_BINS:
-        start = _solve(A, *_coarse_atoms(a, w), lo, hi, tol)[0]
-    g_lo = g_hi = math.inf
-    evaluations = 0
+    if len(a) >= _NEWTON_MIN_ATOMS:
+        return _newton(A, a, w, lo, hi, tol)
     with _modular_kernel(A, a, w) as modular_at:
 
         def g(lam):
             return 1.0 - modular_at(lam)
 
-        if start is not None:
-            m = modular_at(start)
-            evaluations = 1
-            lo, hi, g_lo, g_hi = _slope_bracket(start, m, A.p, lo, hi)
-            if abs(1.0 - m) <= tol:
-                return start, 1.0 - m, lo, hi, evaluations
-        lam, h, lo, hi, steps = _bisect(g, lo, hi, tol, g_lo, g_hi)
-        evaluations += steps
+        lam, h, lo, hi, evaluations = _bisect(g, lo, hi, tol)
         if math.isinf(h):  # exhausted before either bracket end was evaluated
             h = g(lam)
             evaluations += 1
     return lam, h, lo, hi, evaluations
 
 
-def _coarse_atoms(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge atoms a_i > 0 into at most _COARSE_BINS atoms.
+def _newton(A: YoungFunction, a: np.ndarray, w: np.ndarray, lo: float, hi: float, tol: float):
+    """_solve by safeguarded Newton steps in u = log(M / lam), M = max a.
 
-    The bins split [log min a, log max a] evenly; each nonempty one becomes
-    an atom carrying its members' total weight at their weight-averaged
-    log a_i.  The input is read in blocks of _BLOCK atoms, so nothing of
-    its size is allocated.
+    F(u) = log S is increasing in u, with F' = D / S the term-weighted mean
+    slope of log A (_modular_kernel's second output).  Starting at lo, where
+    S >= 1, each step moves u by -log S / (D / S), that is, multiplies lam
+    by exp(log S * S / D), and each evaluation's sign replaces one end of
+    [lo, hi].  A step that leaves the open bracket evaluates hi instead, the
+    first time, and the geometric midpoint after that.  Stops at |1 - S| <=
+    tol, or when no double lies strictly inside the bracket, at the end with
+    the smaller known residual.
     """
-    log_lo = math.log(float(a.min()))
-    width = (math.log(float(a.max())) - log_lo) / _COARSE_BINS
-    scale = 1.0 / width if width > 0.0 else 0.0  # all equal: one bin
-    mass = np.zeros(_COARSE_BINS)
-    moment = np.zeros(_COARSE_BINS)  # sum of w_i * (position of log a_i in its bin)
-    pos = np.empty(min(len(a), _BLOCK))
-    idx = np.empty(len(pos), dtype=np.intp)
-    with np.errstate(under="ignore"):
-        for start in range(0, len(a), _BLOCK):
-            a_blk, w_blk = a[start : start + _BLOCK], w[start : start + _BLOCK]
-            x, i = pos[: len(a_blk)], idx[: len(a_blk)]
-            np.log(a_blk, out=x)
-            x -= log_lo
-            x *= scale  # in bin widths, 0..._COARSE_BINS up to rounding
-            np.copyto(i, x, casting="unsafe")  # truncation
-            np.minimum(i, _COARSE_BINS - 1, out=i)
-            mass += np.bincount(i, weights=w_blk, minlength=_COARSE_BINS)
-            x -= i  # within [0, 1], so w_i * x stays in range for every w_i
-            x *= w_blk
-            moment += np.bincount(i, weights=x, minlength=_COARSE_BINS)
-    nonempty = np.flatnonzero(mass)
-    mass = mass[nonempty]
-    return np.exp(log_lo + width * (nonempty + moment[nonempty] / mass)), mass
-
-
-def _slope_bracket(lam: float, m: float, p: float, lo: float, hi: float):
-    """The part of [lo, hi] certified to hold the root by m = modular(lam).
-
-    Every term's d log A / d log t is at least p, so the modular falls at
-    least as fast as lam^(-p): the root lies in [lam, lam * m^(1/p)] when
-    m >= 1 and in [lam * m^(1/p), lam] when m < 1.  The computed end is
-    widened by _SLOPE_MARGIN against rounding.  Returns (lo, hi, g_lo, g_hi)
-    for _bisect, with g = 1 - m at lam and inf at the other end.  m = inf or
-    0 certifies only the side of lam, and the other end stays hi or lo.
-    """
-    end = lam * m ** (1.0 / p)
-    if m >= 1.0:
-        return lam, min(hi, end * (1.0 + _SLOPE_MARGIN)), 1.0 - m, math.inf
-    return max(lo, end * (1.0 - _SLOPE_MARGIN)), lam, math.inf, 1.0 - m
+    g_lo = g_hi = math.inf
+    lam, evaluations = lo, 0
+    with _modular_kernel(A, a, w, slope=True) as modular_at:
+        while True:
+            m, d = modular_at(lam)
+            evaluations += 1
+            h = 1.0 - m
+            if abs(h) <= tol:
+                return lam, h, lo, hi, evaluations
+            if h < 0.0:
+                lo, g_lo = lam, h
+            else:
+                hi, g_hi = lam, h
+            step = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
+            lam *= math.exp(min(step, 709.0))  # exp raises past 709; nan fails the test below
+            if lo < lam < hi:
+                continue
+            if math.isinf(g_hi) and lo < hi:  # hi is still the closed-form end
+                lam = hi
+                continue
+            lam = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < lam < hi:
+                lam = lo + 0.5 * (hi - lo)
+            if not lo < lam < hi:
+                if abs(g_lo) <= abs(g_hi):
+                    return lo, g_lo, lo, hi, evaluations
+                return hi, g_hi, lo, hi, evaluations
 
 
 def char_norm_closed_form(A: YoungFunction, m: float, tol: float = 1e-12) -> float:

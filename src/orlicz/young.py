@@ -99,22 +99,8 @@ class YoungFunction:
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             if self.q == 0.0:
                 return np.power(t, self.p, out=t)
-            log_a = self.p * np.log(t) + self._log_factor_into(t, np.empty_like(t))
+            log_a = self.p * np.log(t) + self.q * np.log(np.log(t + self.shift))
             return np.exp(log_a, out=t)
-
-    def _log_factor_into(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write q * log(log(shift + t)), the log of A's log factor, into out.
-
-        The one array form of the log factor: value_array and the norm
-        module's modular kernel both call it.  out may be t itself.  Returns
-        out; allocates nothing and runs under the caller's floating-point
-        error state.  t = inf gives inf.
-        """
-        np.add(t, self.shift, out=out)
-        np.log(out, out=out)
-        np.log(out, out=out)
-        out *= self.q
-        return out
 
     def log_value(self, t: float) -> float:
         """log A(t) for t > 0: p*log(t) + q*log(log(shift+t))."""

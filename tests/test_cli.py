@@ -221,6 +221,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert "total weight overflows" in captured.err
 
+    def test_overflowing_x_span_reaches_stderr(self, tmp_path, capsys):
+        # x from -1e308 to 1e308: the spacing overflows, and no numpy warning
+        # may precede the error line
+        data = tmp_path / "wide.csv"
+        data.write_text("x,value\n-1e308,1\n1e308,2\n")
+        assert run_cli("norm", "--input", str(data), "--p", "1", "--q", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: xs must span a finite interval\n"
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     @pytest.mark.parametrize(
         "command", [["norm"], ["sweep", "--q-grid", "1:100:3:log"]], ids=["norm", "sweep"]

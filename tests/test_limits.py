@@ -157,6 +157,15 @@ class TestDeltaRelation:
         assert rec.tail_ok and rec.identity_ok and rec.bernoulli_ok and rec.passed
 
 
+    @pytest.mark.parametrize("q", [1e20, 1e300])
+    def test_log_sides_far_apart(self, q):
+        # at lam 0.1, p 2 the rounding of q*log(...) puts the two log sides
+        # more than 709 apart: the relative error reads inf, not an OverflowError
+        rec = delta_relation_check(0.1, 2.0, q)
+        assert rec.identity_rel_err == math.inf
+        assert not rec.identity_ok and not rec.passed
+
+
 class TestUpperBoundThreshold:
     def test_unit_indicator_threshold_at_first_entry(self):
         mu, f = atoms([1], [1])

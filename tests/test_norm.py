@@ -156,6 +156,33 @@ class TestModularKernel:
             true = mpmath.mpf(1e-300) * t * mpmath.log(E0 + t)
         assert modular(B11, f, mu, 1e-150) == pytest.approx(float(true), rel=1e-13)
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize(
+        "p, values, weights, lam",
+        [
+            (1.0, [0.3, 1.0, 2.5, 7.0], [0.1, 0.2, 0.3, 0.4], 0.9),
+            (2.0, [0.3, 1.0, 2.5, 7.0], [0.1, 0.2, 0.3, 0.4], 1e3),
+            (100.0, [0.3, 1.0, 2.5, 7.0], [0.1, 0.2, 0.3, 0.4], 8.0),
+            (1.0, [1e300, 1.0], [1e-300, 0.5], 1e-10),  # max|f|/lam overflows
+        ],
+    )
+    def test_slope_sum(self, p, values, weights, lam, q):
+        # S is the modular bit for bit, and D = sum_i term_i * (p + q r_i),
+        # r = t / ((shift + t) log(shift + t)), against long double
+        A = YoungFunction.log_bump(p, q)
+        a, w = np.array(values), np.array(weights)
+        with norm_module._modular_kernel(A, a, w) as plain:
+            expected_S = plain(lam)
+        with norm_module._modular_kernel(A, a, w, slope=True) as sloped:
+            S, D = sloped(lam)
+        assert S == expected_S
+        ld = np.longdouble
+        t = a.astype(ld) / ld(lam)
+        ell = np.log(ld(A.shift) + t)
+        terms = w * np.exp(ld(p) * np.log(t) + ld(q) * np.log(ell))
+        true = np.sum(terms * (ld(p) + ld(q) * t / ((ld(A.shift) + t) * ell)))
+        assert D == pytest.approx(float(true), rel=1e-12)
+
     @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
     def test_block_edges(self, n):
         # every atom carries a comparable share, so a block dropped or
@@ -267,38 +294,32 @@ EDGE_CASES = {
 
 
 def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
-    """luxemburg_norm; every call of _slope_bracket as ((lam, m, lo, hi),
-    its result); and [atom count, evaluations] of every kernel built."""
-    brackets, kernels = [], []
-    kernel, slope_bracket = norm_module._modular_kernel, norm_module._slope_bracket
+    """luxemburg_norm, and [atom count, slope flag, evaluated lams] of every
+    kernel built."""
+    kernels = []
+    kernel = norm_module._modular_kernel
 
     @contextmanager
-    def counting_kernel(A, a, w):
-        count = [np.size(a), 0]
-        kernels.append(count)
-        with kernel(A, a, w) as modular_at:
+    def recording_kernel(A, a, w, slope=False):
+        lams = []
+        kernels.append((np.size(a), slope, lams))
+        with kernel(A, a, w, slope) as modular_at:
 
-            def counted(lam):
-                count[1] += 1
+            def recorded(lam):
+                lams.append(lam)
                 return modular_at(lam)
 
-            yield counted
-
-    def recording(lam, m, p, lo, hi):
-        out = slope_bracket(lam, m, p, lo, hi)
-        brackets.append(((lam, m, lo, hi), out))
-        return out
+            yield recorded
 
     with monkeypatch.context() as mp:
-        mp.setattr(norm_module, "_modular_kernel", counting_kernel)
-        mp.setattr(norm_module, "_slope_bracket", recording)
-        return luxemburg_norm(A, f, mu, tol), brackets, kernels
+        mp.setattr(norm_module, "_modular_kernel", recording_kernel)
+        return luxemburg_norm(A, f, mu, tol), kernels
 
 
 def counted_norm(monkeypatch, A, f, mu, tol):
     """luxemburg_norm, and the size of every atom array it builds a kernel on."""
-    res, _, kernels = traced_norm(monkeypatch, A, f, mu, tol)
-    return res, [size for size, _ in kernels]
+    res, kernels = traced_norm(monkeypatch, A, f, mu, tol)
+    return res, [size for size, _, _ in kernels]
 
 
 class TestPruning:
@@ -349,7 +370,7 @@ class TestPruning:
         assert res.iterations <= 64
 
 
-COARSE_N = 8 * norm_module._COARSE_BINS  # fewest kept atoms that take the coarse start
+NEWTON_N = norm_module._NEWTON_MIN_ATOMS  # fewest kept atoms that take Newton steps
 
 # atom values from a cluster in [0.9, 1), which no tested p, q prunes
 COARSE_CASES = {
@@ -365,31 +386,33 @@ COARSE_CASES = {
 
 def coarse_case(name):
     rng = np.random.default_rng(len(name))
-    values = COARSE_CASES[name](rng.uniform(0.9, 1.0, COARSE_N))
+    values = COARSE_CASES[name](rng.uniform(0.9, 1.0, NEWTON_N))
     if name == "extreme_weights":
         return values, rng.choice([1e-300, 1e3], len(values))
     return values, rng.uniform(0.1, 1.0, len(values)) / len(values)
 
 
-def check_coarse_start(A, values, weights, res, brackets, kernels):
-    """The certified bracket holds against the long-double oracle, it is no
-    wider than the closed form or the slope bound, iterations counts the
-    full-size evaluations, and the full modular meets tol at the value."""
-    kept = max(size for size, _ in kernels)
-    assert res.iterations == sum(n for size, n in kernels if size == kept)
-    for (lam, m, lo, hi), (lo2, hi2, _, _) in brackets:
-        assert lo <= lo2 <= hi2 <= hi and lam in (lo2, hi2)
-        assert hi2 / lo2 <= max(m, 1.0 / m) ** (1.0 / A.p) * (1.0 + 3e-12)
-        if res.value != lam:  # else |1 - m| <= tol and lam was returned at once
-            assert modular_longdouble(A, values, weights, lo2) >= 1.0
-            assert modular_longdouble(A, values, weights, hi2) <= 1.0 + res.pruned_bound
-    assert res.status is NormStatus.FINITE and res.residual <= PRUNE_TOL
-    assert abs(modular_longdouble(A, values, weights, res.value) - 1.0) <= PRUNE_TOL
+def check_certified(A, values, weights, res, kernels, tol=PRUNE_TOL):
+    """iterations counts the evaluations of the one kernel, over the kept
+    atoms, and the long-double oracle confirms the final bracket and the
+    value.  An end that is also the value was accepted on its residual and
+    is held to tol: the closed-form hi is the exact root on equal values,
+    up to the 1e-12 tolerance of the inverse behind it."""
+    [(kept, slope, lams)] = kernels
+    assert slope == (kept >= NEWTON_N)
+    assert res.iterations == len(lams)
+    assert res.status is NormStatus.FINITE and res.residual <= tol
+    assert abs(modular_longdouble(A, values, weights, res.value) - 1.0) <= tol
+    if res.bracket_lo != res.value:
+        assert modular_longdouble(A, values, weights, res.bracket_lo) >= 1.0
+    if res.bracket_hi != res.value:
+        assert modular_longdouble(A, values, weights, res.bracket_hi) <= 1.0 + res.pruned_bound
 
 
 class TestCoarseStart:
-    """From COARSE_N kept atoms on, luxemburg_norm solves binned atoms first
-    and bisects from the bracket one full evaluation certifies around them."""
+    """From NEWTON_N kept atoms on, luxemburg_norm takes safeguarded Newton
+    steps from the closed-form lo instead of bisecting (the class keeps the
+    name of the coarse start those steps replaced)."""
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 10.0, 100.0])
     @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
@@ -398,41 +421,68 @@ class TestCoarseStart:
         values, weights = coarse_case(case)
         mu, f = atoms(values, weights)
         A = YoungFunction.log_bump(p, q)
-        res, brackets, kernels = traced_norm(monkeypatch, A, f, mu)
-        kept = max(size for size, _ in kernels)
-        assert len(brackets) == (kept >= COARSE_N) == (case != "below_threshold")
-        if brackets:  # one coarse kernel, on at most _COARSE_BINS atoms
-            assert [s for s, _ in kernels if s != kept] == [min(s for s, _ in kernels)]
-            assert min(s for s, _ in kernels) <= norm_module._COARSE_BINS
-        if case == "all_equal":  # one bin: the coarse root is the root
-            assert res.iterations == 1
+        res, kernels = traced_norm(monkeypatch, A, f, mu)
+        [(kept, _, _)] = kernels
+        assert (kept >= NEWTON_N) == (case != "below_threshold")
+        if case != "below_threshold":
+            assert res.iterations <= 6
         if case == "zeros_pruned":
             assert res.pruned_mass > 0.0
-        check_coarse_start(A, values, weights, res, brackets, kernels)
-
-    @pytest.mark.parametrize("scale", [1e-3, 1e3])
-    @pytest.mark.parametrize("q", [0.0, 100.0])
-    def test_bad_estimate(self, monkeypatch, scale, q):
-        # a coarse root far off still yields a certified bracket
-        coarse_atoms = norm_module._coarse_atoms
-
-        def scaled(a, w):
-            values, masses = coarse_atoms(a, w)
-            return scale * values, masses
-
-        monkeypatch.setattr(norm_module, "_coarse_atoms", scaled)
-        values, weights = coarse_case("at_threshold")
-        mu, f = atoms(values, weights)
-        A = YoungFunction.log_bump(1.0, q)
-        res, brackets, kernels = traced_norm(monkeypatch, A, f, mu)
-        assert len(brackets) == 1
-        check_coarse_start(A, values, weights, res, brackets, kernels)
+        check_certified(A, values, weights, res, kernels)
 
     def test_few_evaluations(self):
         mu, f = lognormal_instance(seed=3, n=100_000)
         res = luxemburg_norm(YoungFunction.log_bump(2, 1), f, mu, PRUNE_TOL)
         assert res.pruned_mass == 0.0
-        assert res.iterations <= 20
+        assert res.iterations <= 6
+
+    def test_step_past_hi_evaluates_hi(self, monkeypatch):
+        # on equal values the closed-form hi is the root; the first step
+        # from lo lands on or past it, so hi is evaluated and returned
+        values, weights = coarse_case("all_equal")
+        mu, f = atoms(values, weights)
+        A = YoungFunction.log_bump(2, 1)
+        res, kernels = traced_norm(monkeypatch, A, f, mu)
+        [(_, _, lams)] = kernels
+        assert lams == [res.bracket_lo, res.bracket_hi] and res.value == res.bracket_hi
+        check_certified(A, values, weights, res, kernels)
+
+    def test_precision_exhausted(self, monkeypatch):
+        # at q = 1e9 one ULP of lam moves the modular by about 1e-7 > tol, so
+        # the steps end when no double lies strictly inside the bracket
+        reps = 2 * NEWTON_N // 4  # the 4s, NEWTON_N atoms, survive pruning
+        values, weights = np.tile([1.0, 2.0, 4.0, 4.0], reps), np.tile([0.3, 0.3, 0.1, 0.2], reps)
+        mu, f = atoms(values, weights / reps)
+        res, kernels = traced_norm(monkeypatch, YoungFunction.log_bump(2, 1e9), f, mu)
+        [(kept, slope, lams)] = kernels
+        assert kept == NEWTON_N and slope
+        assert res.iterations == len(lams) <= 20
+        assert math.nextafter(res.bracket_lo, math.inf) == res.bracket_hi
+        assert res.value in (res.bracket_lo, res.bracket_hi)
+
+    @pytest.mark.parametrize("q", [0.0, 100.0])
+    def test_overshooting_slope(self, monkeypatch, q):
+        # a slope read 1000 times too small sends every step out of the
+        # bracket: hi, then geometric midpoints, keep it certified
+        kernel = norm_module._modular_kernel
+
+        @contextmanager
+        def flat_kernel(A, a, w, slope=False):
+            with kernel(A, a, w, slope) as modular_at:
+
+                def flat(lam):
+                    m, d = modular_at(lam)
+                    return m, 1e-3 * d
+
+                yield flat
+
+        monkeypatch.setattr(norm_module, "_modular_kernel", flat_kernel)
+        values, weights = coarse_case("at_threshold")
+        mu, f = atoms(values, weights)
+        A = YoungFunction.log_bump(1.0, q)
+        res, kernels = traced_norm(monkeypatch, A, f, mu)
+        assert res.iterations <= 64
+        check_certified(A, values, weights, res, kernels)
 
 
 class TestCharNormClosedForm:
