@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, InputError, NumericError
 from .measure import DiscreteMeasure, SampledFunction, ess_sup, truncate
 from .norm import DEFAULT_TOL, luxemburg_norm, char_norm_closed_form, modular, p_norm
-from .young import E0, E, YoungFunction, _validate_grid, compare, default_grid
+from .young import E0, E, YoungFunction, _validate_grid
 
 __all__ = [
     "BoundCheck",
@@ -375,13 +375,14 @@ def log_ratio_bound_check(c: float, grid) -> LogRatioRecord:
 
 @dataclass(frozen=True)
 class EquivalenceRecord:
-    """Norms under shifts e-1 and e, checked against the compare band.
+    """Norms under shifts e-1 and e, checked against the closed-form band.
 
-    Writing c_e0_in_e for the grid constant with B_e0(t) <= B_e(c t) and
-    c_e_in_e0 for the reverse, the norm ratio norm_e0 / norm_e must lie in
-    [1/C, C] with C the larger of the two.  Because the shift-e integrand
-    dominates pointwise, norm_e >= norm_e0 always; the tight band is
-    therefore [1/c_e_in_e0, c_e0_in_e].
+    c_e0_in_e = 1 is the smallest constant with B_e0(t) <= B_e(c t) for all
+    t > 0, and c_e_in_e0 = log(e0)^(-q/p) the smallest with B_e(t) <=
+    B_e0(c t) for all t > 0 (equivalence_norm_check proves both).  The norm
+    ratio norm_e0 / norm_e must lie in [1/C, C] with C = band, the larger of
+    the two.  Because the shift-e integrand dominates pointwise, norm_e >=
+    norm_e0 always; the tight band is therefore [1/c_e_in_e0, c_e0_in_e].
     """
 
     p: float
@@ -401,17 +402,26 @@ def equivalence_norm_check(
     p: float,
     q: float,
     tol: float = DEFAULT_TOL,
-    grid=None,
 ) -> EquivalenceRecord:
+    """Norms of f under the shifts e0 = e-1 and e, and the closed-form band.
+
+    Both constants hold for all t > 0.  B_e0(t) <= B_e(t) since log(e0 + t)
+    <= log(e + t), with c_e0_in_e = 1 tight as t -> inf.  For the reverse,
+    let L = log(e0) < 1 and c = L^(-q/p) >= 1, tight as t -> 0.  Then
+    B_e(t) <= B_e0(c t) is equivalent to L log(e + t) <= log(e0 + c t).  The
+    difference h(t) = log(e0 + c t) - L log(e + t) has h(0) = 0 and
+    h'(t) = c / (e0 + c t) - L / (e + t) > 0, because c (e + t) > L (e0 + c t)
+    follows from c > L, c t >= L c t and e > e0; so h >= 0 for t >= 0.
+    c_e_in_e0 is computed as exp(-(q/p) log L) and reads inf past the double
+    range.
+    """
     _require_nonzero(f)
-    if grid is None:
-        grid = default_grid()
     A_e0 = YoungFunction.log_bump(p, q, shift=E0)
     A_e = YoungFunction.log_bump(p, q, shift=E)
     norm_e0 = luxemburg_norm(A_e0, f, mu, tol).value
     norm_e = luxemburg_norm(A_e, f, mu, tol).value
-    c_e0_in_e = compare(A_e0, A_e, grid).c_estimate
-    c_e_in_e0 = compare(A_e, A_e0, grid).c_estimate
+    c_e0_in_e = 1.0
+    c_e_in_e0 = _exp_or_inf(-q / p * math.log(math.log(E0)))
     band = max(c_e0_in_e, c_e_in_e0)
     ratio = norm_e0 / norm_e
     slack = 1e-12

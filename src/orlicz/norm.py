@@ -5,9 +5,9 @@ which is continuous and strictly decreasing in lam wherever it is finite.
 In this discrete model the infimum in the norm definition is attained, so
 the solver targets the equation directly, in log scale from an
 analytically certified bracket, since lam is a positive scale whose
-accuracy is relative and the bracket can span hundreds of decades: by
-bisection (young._bisect, the package's one bisection rule), or on large
-inputs by safeguarded Newton steps.
+accuracy is relative and the bracket can span hundreds of decades.  The
+package's one root loop, young._root, narrows that bracket: it bisects, or
+on large inputs evaluates Newton proposals that land inside the bracket.
 
 One kernel evaluates the modular for both modular() and the solver.  With
 M = max |f|, it builds the log weights c_i = log w_i + p*(log|f_i| - log M)
@@ -27,11 +27,11 @@ small to move the modular anywhere in the bracket and charges their exact
 bound to the tolerance; at large q it keeps only the atoms near
 ess sup |f|, the pointwise domination behind the paper's upper bound.
 
-With at least _NEWTON_MIN_ATOMS kept atoms, Newton steps replace
-bisection (_newton).  By the delta substitution the slope
+With at least _NEWTON_MIN_ATOMS kept atoms the loop takes Newton
+proposals (_solve).  By the delta substitution the slope
 d log A / d log t = p + q t / ((shift + t) log(shift + t)) is closed form,
-so the kernel sums the modular's slope in the same pass, and the steps
-start at lo, where the modular is >= 1.  Smaller solves still bisect.
+so the kernel sums the modular's slope in the same pass, and the loop
+starts at lo, where the modular is >= 1.  Smaller solves bisect.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .measure import DiscreteMeasure, SampledFunction, check_aligned
-from .young import YoungFunction, _bisect
+from .young import YoungFunction, _root
 
 __all__ = [
     "NormStatus",
@@ -187,14 +187,14 @@ def luxemburg_norm(
 
     where pruned_mass is their total weight.  The atom attaining M always
     survives, since cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for
-    the kept atoms too.  Bisection, or Newton steps on large inputs (module
-    docstring), drives the kept modular to within tol - pruned_bound of 1,
-    so the full modular meets |modular(lam) - 1| <= tol; it falls back to
-    the relative bracket-width criterion only when double precision is
-    exhausted first, and raises NumericError when that leaves the residual
-    above tol.  iterations counts the evaluations of the kept modular,
-    each over every kept atom; the inverses behind the bracket and the cut
-    are not counted.
+    the kept atoms too.  The root loop, bisecting or on large inputs taking
+    Newton proposals (module docstring), drives the kept modular to within
+    tol - pruned_bound of 1, so the full modular meets |modular(lam) - 1| <=
+    tol; it falls back to the relative bracket-width criterion only when
+    double precision is exhausted first, and raises NumericError when that
+    leaves the residual above tol.  iterations counts the evaluations of
+    the kept modular, each over every kept atom; the inverses behind the
+    bracket and the cut are not counted.
     """
     check_aligned(f, mu)
     if not tol > 0.0:
@@ -240,62 +240,38 @@ def _solve(A: YoungFunction, a: np.ndarray, w: np.ndarray, lo: float, hi: float,
     bracket [lo, hi], to |residual| <= tol, as luxemburg_norm describes.
 
     Returns (lam, 1 - modular(lam), lo, hi, evaluations) with the final
-    bracket.  From _NEWTON_MIN_ATOMS atoms on it takes Newton steps
-    (_newton); below, it bisects.
+    bracket, from young._root.  From _NEWTON_MIN_ATOMS atoms on the kernel
+    also returns the slope sum D, and the loop starts at lo, where the
+    modular S is >= 1, and takes Newton steps in u = log(M / lam), M = max a:
+    F(u) = log S increases with F' = D / S, so a step multiplies lam by
+    exp(log S * S / D).  Below, the loop bisects.
     """
-    if len(a) >= _NEWTON_MIN_ATOMS:
-        return _newton(A, a, w, lo, hi, tol)
-    with _modular_kernel(A, a, w) as modular_at:
+    newton = len(a) >= _NEWTON_MIN_ATOMS
+    with _modular_kernel(A, a, w, slope=newton) as modular_at:
+        if newton:
+            last = ()  # (lam, S, D) of the latest evaluation
 
-        def g(lam):
-            return 1.0 - modular_at(lam)
+            def g(lam):
+                nonlocal last
+                last = (lam, *modular_at(lam))
+                return 1.0 - last[1]
 
-        lam, h, lo, hi, evaluations = _bisect(g, lo, hi, tol)
+            def step():
+                lam, m, d = last
+                u = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
+                return lam * math.exp(min(u, 709.0))  # exp raises past 709; _root rejects nan
+
+            lam, h, lo, hi, evaluations = _root(g, lo, hi, tol, x=lo, step=step)
+        else:
+
+            def g(lam):
+                return 1.0 - modular_at(lam)
+
+            lam, h, lo, hi, evaluations = _root(g, lo, hi, tol)
         if math.isinf(h):  # exhausted before either bracket end was evaluated
             h = g(lam)
             evaluations += 1
     return lam, h, lo, hi, evaluations
-
-
-def _newton(A: YoungFunction, a: np.ndarray, w: np.ndarray, lo: float, hi: float, tol: float):
-    """_solve by safeguarded Newton steps in u = log(M / lam), M = max a.
-
-    F(u) = log S is increasing in u, with F' = D / S the term-weighted mean
-    slope of log A (_modular_kernel's second output).  Starting at lo, where
-    S >= 1, each step moves u by -log S / (D / S), that is, multiplies lam
-    by exp(log S * S / D), and each evaluation's sign replaces one end of
-    [lo, hi].  A step that leaves the open bracket evaluates hi instead, the
-    first time, and the geometric midpoint after that.  Stops at |1 - S| <=
-    tol, or when no double lies strictly inside the bracket, at the end with
-    the smaller known residual.
-    """
-    g_lo = g_hi = math.inf
-    lam, evaluations = lo, 0
-    with _modular_kernel(A, a, w, slope=True) as modular_at:
-        while True:
-            m, d = modular_at(lam)
-            evaluations += 1
-            h = 1.0 - m
-            if abs(h) <= tol:
-                return lam, h, lo, hi, evaluations
-            if h < 0.0:
-                lo, g_lo = lam, h
-            else:
-                hi, g_hi = lam, h
-            step = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
-            lam *= math.exp(min(step, 709.0))  # exp raises past 709; nan fails the test below
-            if lo < lam < hi:
-                continue
-            if math.isinf(g_hi) and lo < hi:  # hi is still the closed-form end
-                lam = hi
-                continue
-            lam = math.sqrt(lo) * math.sqrt(hi)
-            if not lo < lam < hi:
-                lam = lo + 0.5 * (hi - lo)
-            if not lo < lam < hi:
-                if abs(g_lo) <= abs(g_hi):
-                    return lo, g_lo, lo, hi, evaluations
-                return hi, g_hi, lo, hi, evaluations
 
 
 def char_norm_closed_form(A: YoungFunction, m: float, tol: float = 1e-12) -> float:

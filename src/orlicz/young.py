@@ -116,11 +116,11 @@ class YoungFunction:
 
         d log A / d log t = p + q t / ((shift + t) log(shift + t)) >= p, so
         the root lies between t = 1 and t = exp((log y - log A(1)) / p);
-        log A is bisected in log scale on that bracket.  The returned t
-        satisfies |A(t) - y| <= tol * max(1, y) whenever tol sits above the
-        evaluation noise floor (about q * 1e-16 relative for extreme q);
-        below that floor the bracket is refined to one ULP, which is the
-        best double precision admits.
+        log A is bisected in log scale on that bracket (_root).  The
+        returned t satisfies |A(t) - y| <= tol * max(1, y) whenever tol sits
+        above the evaluation noise floor (about q * 1e-16 relative for
+        extreme q); below that floor the bracket is refined to one ULP,
+        which is the best double precision admits.
         """
         if not tol > 0.0:
             raise DomainError(f"tol must be positive, got {tol}")
@@ -131,36 +131,46 @@ class YoungFunction:
         return _solve_log(self, math.log(y), 0.5 * tol)
 
 
-def _bisect(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf):
-    """Bisect increasing g on [lo, hi], 0 <= lo, where g(lo) <= 0 <= g(hi).
+def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
+    """Root of increasing g on [lo, hi], 0 <= lo, where g(lo) <= 0 <= g(hi).
 
-    The midpoint is geometric, sqrt(lo * hi), so a bracket spanning many
-    decades shrinks in relative width at the same rate as a narrow one; the
+    The package's one root loop: evaluate a point, let the sign of g there
+    replace one end of the bracket, pick the next point.  x, when given, is
+    evaluated first.  After each evaluation step(), when given, proposes the
+    next point; a proposal not strictly inside the bracket (nan included)
+    gives way to hi if hi was never evaluated, else to the midpoint.  The
+    midpoint is geometric, sqrt(lo * hi), so a bracket spanning many decades
+    shrinks in relative width at the same rate as a narrow one; the
     arithmetic midpoint stands in when the geometric one is not strictly
     inside (lo = 0, or near-adjacent doubles).  Returns (x, g(x), lo, hi,
-    evaluations) with the final bracket.  x is the first midpoint with
+    evaluations) with the final bracket.  x is the first point with
     |g(x)| <= tol.  Once neither midpoint lies strictly inside the bracket,
     x is the end with the smaller known |g|; g_lo and g_hi are the values at
-    the starting ends, inf when not evaluated.  Every step shrinks the
-    bracket to a strictly smaller set of doubles, so the loop ends.
+    the starting ends, inf when not evaluated.  Every evaluation but those
+    of x and hi shrinks the bracket to a strictly smaller set of doubles,
+    so the loop ends.
     """
     evaluations = 0
     while True:
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        if not lo < mid < hi:
-            mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
-            if abs(g_lo) <= abs(g_hi):
-                return lo, g_lo, lo, hi, evaluations
-            return hi, g_hi, lo, hi, evaluations
-        g_mid = g(mid)
+        if x is None:
+            x = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < x < hi:
+                x = lo + 0.5 * (hi - lo)
+            if not lo < x < hi:
+                if abs(g_lo) <= abs(g_hi):
+                    return lo, g_lo, lo, hi, evaluations
+                return hi, g_hi, lo, hi, evaluations
+        g_x = g(x)
         evaluations += 1
-        if abs(g_mid) <= tol:
-            return mid, g_mid, lo, hi, evaluations
-        if g_mid < 0.0:
-            lo, g_lo = mid, g_mid
+        if abs(g_x) <= tol:
+            return x, g_x, lo, hi, evaluations
+        if g_x < 0.0:
+            lo, g_lo = x, g_x
         else:
-            hi, g_hi = mid, g_mid
+            hi, g_hi = x, g_x
+        x = None if step is None else step()
+        if x is not None and not lo < x < hi:  # nan is never inside
+            x = hi if g_hi == math.inf and lo < hi else None
 
 
 def _solve_log(A: YoungFunction, target: float, tol_log: float) -> float:
@@ -179,7 +189,7 @@ def _solve_log(A: YoungFunction, target: float, tol_log: float) -> float:
         return 1.0
     end = math.exp(min(max(-g1 / A.p, -745.0), 709.0))  # finite and nonzero
     lo, g_lo, hi, g_hi = (1.0, g1, end, math.inf) if g1 < 0.0 else (end, math.inf, 1.0, g1)
-    t, res, lo, hi, _ = _bisect(g, lo, hi, tol_log, g_lo, g_hi)
+    t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi)
     if abs(res) > max(tol_log, 1e-6):
         # bracket collapsed far from the target, or the root is past the clamp
         raise NumericError(

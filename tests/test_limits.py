@@ -1,10 +1,13 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from orlicz import (
     E0,
+    E,
     DiscreteMeasure,
     DomainError,
     InputError,
@@ -288,7 +291,31 @@ class TestEquivalence:
         mu, f = atoms([1, -2, 3], [0.5, 1.0, 1.5])
         rec = equivalence_norm_check(f, mu, 2.0, 0.0)
         assert rec.ratio == pytest.approx(1.0, rel=1e-12)
+        assert rec.c_e0_in_e == rec.c_e_in_e0 == rec.band == 1.0
         assert rec.passed
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 10.0, 1e3, 1e6])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 5.0, 100.0])
+    def test_closed_form_band_holds_for_all_t(self, p, q):
+        # B_e(t) <= B_e0(c t) at t = 10^k, k in [-300, 300], in 50-digit
+        # logs with c = log(e0)^(-q/p), and the reported constant is that c
+        mu, f = atoms([1.0, 2.0], [0.5, 0.5])
+        rec = equivalence_norm_check(f, mu, p, q)
+        assert rec.c_e0_in_e == 1.0
+        with mpmath.workdps(50):
+            e0, e = mpmath.mpf(E0), mpmath.mpf(E)
+            c = mpmath.log(e0) ** (-mpmath.mpf(q) / p)
+            if c > mpmath.mpf(sys.float_info.max):
+                assert rec.c_e_in_e0 == math.inf
+            else:
+                assert abs(rec.c_e_in_e0 / c - 1) <= 1e-12
+            margin = min(
+                p * mpmath.log(c)
+                + q * mpmath.log(mpmath.log(e0 + c * t))
+                - q * mpmath.log(mpmath.log(e + t))
+                for t in (mpmath.mpf(10) ** k for k in range(-300, 301))
+            )
+        assert margin >= 0
 
     def test_random_instance_in_band(self):
         rng = np.random.default_rng(41)

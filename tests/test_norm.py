@@ -373,7 +373,7 @@ class TestPruning:
 NEWTON_N = norm_module._NEWTON_MIN_ATOMS  # fewest kept atoms that take Newton steps
 
 # atom values from a cluster in [0.9, 1), which no tested p, q prunes
-COARSE_CASES = {
+NEWTON_CASES = {
     "below_threshold": lambda c: c[1:],
     "at_threshold": lambda c: c,
     "wide_values": lambda c: np.concatenate([1e300 * c, np.geomspace(1e-300, 1e300, 4096)]),
@@ -384,9 +384,9 @@ COARSE_CASES = {
 }
 
 
-def coarse_case(name):
+def newton_case(name):
     rng = np.random.default_rng(len(name))
-    values = COARSE_CASES[name](rng.uniform(0.9, 1.0, NEWTON_N))
+    values = NEWTON_CASES[name](rng.uniform(0.9, 1.0, NEWTON_N))
     if name == "extreme_weights":
         return values, rng.choice([1e-300, 1e3], len(values))
     return values, rng.uniform(0.1, 1.0, len(values)) / len(values)
@@ -416,9 +416,9 @@ class TestCoarseStart:
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 10.0, 100.0])
     @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
-    @pytest.mark.parametrize("case", sorted(COARSE_CASES))
+    @pytest.mark.parametrize("case", sorted(NEWTON_CASES))
     def test_certified_bracket(self, monkeypatch, case, p, q):
-        values, weights = coarse_case(case)
+        values, weights = newton_case(case)
         mu, f = atoms(values, weights)
         A = YoungFunction.log_bump(p, q)
         res, kernels = traced_norm(monkeypatch, A, f, mu)
@@ -439,7 +439,7 @@ class TestCoarseStart:
     def test_step_past_hi_evaluates_hi(self, monkeypatch):
         # on equal values the closed-form hi is the root; the first step
         # from lo lands on or past it, so hi is evaluated and returned
-        values, weights = coarse_case("all_equal")
+        values, weights = newton_case("all_equal")
         mu, f = atoms(values, weights)
         A = YoungFunction.log_bump(2, 1)
         res, kernels = traced_norm(monkeypatch, A, f, mu)
@@ -477,11 +477,40 @@ class TestCoarseStart:
                 yield flat
 
         monkeypatch.setattr(norm_module, "_modular_kernel", flat_kernel)
-        values, weights = coarse_case("at_threshold")
+        values, weights = newton_case("at_threshold")
         mu, f = atoms(values, weights)
         A = YoungFunction.log_bump(1.0, q)
         res, kernels = traced_norm(monkeypatch, A, f, mu)
         assert res.iterations <= 64
+        check_certified(A, values, weights, res, kernels)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 100.0])
+    def test_overflow_at_lo_evaluates_hi(self, monkeypatch, q):
+        # the modular read as inf at lo leaves no Newton step (nan), so the
+        # closed-form hi is evaluated next, and the solve still ends certified
+        kernel = norm_module._modular_kernel
+
+        @contextmanager
+        def overflowing_kernel(A, a, w, slope=False):
+            with kernel(A, a, w, slope) as modular_at:
+                calls = []
+
+                def overflowing(lam):
+                    calls.append(lam)
+                    return (math.inf, math.inf) if len(calls) == 1 else modular_at(lam)
+
+                yield overflowing
+
+        monkeypatch.setattr(norm_module, "_modular_kernel", overflowing_kernel)
+        values, weights = newton_case("at_threshold")
+        mu, f = atoms(values, weights)
+        A = YoungFunction.log_bump(2.0, q)
+        res, kernels = traced_norm(monkeypatch, A, f, mu)
+        [(_, slope, lams)] = kernels
+        big = float(values.max())
+        lo = big / A.inverse(1.0 / float(weights[np.argmax(values)]))
+        hi = big / A.inverse(1.0 / float(np.sum(weights, where=values > 0.0)))
+        assert slope and lams[:2] == [lo, hi]
         check_certified(A, values, weights, res, kernels)
 
 

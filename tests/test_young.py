@@ -17,6 +17,7 @@ from orlicz import (
     compare,
     default_grid,
 )
+from orlicz.young import _root
 
 # Frozen ahead of implementation from 50-digit arithmetic.
 EVAL_LOGBUMP_P2_Q3_T2 = 9.059699961077427  # 4 * ln(e+1)^3
@@ -214,6 +215,56 @@ class TestInverse:
             y = float(y)
             t = A.inverse(y, tol=1e-9)
             assert abs(A.value(t) - y) <= 1e-9 * max(1.0, y)
+
+
+def recorded_line(root):
+    """Increasing g(x) = x - root, and the list of points it is evaluated at."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return x - root
+
+    return g, xs
+
+
+class TestRoot:
+    """young._root, the one loop behind inverse, compare and the norm."""
+
+    @pytest.mark.parametrize("lo", [0.0, 1e-300, 0.5])
+    def test_bisection_is_geometric(self, lo):
+        # no step: every point is sqrt(lo) * sqrt(hi) of the bracket so far,
+        # or the arithmetic midpoint where that is not strictly inside
+        g, xs = recorded_line(3.0)
+        x, g_x, _, _, evaluations = _root(g, lo, 1e6, 1e-12)
+        assert evaluations == len(xs) and x == xs[-1] and abs(g_x) <= 1e-12
+        a, b = lo, 1e6
+        for x in xs:
+            mid = math.sqrt(a) * math.sqrt(b)
+            assert x == (mid if a < mid < b else a + 0.5 * (b - a))
+            a, b = (x, b) if x < 3.0 else (a, x)
+
+    def test_proposal_inside_is_evaluated(self):
+        g, xs = recorded_line(3.0)
+        proposals = iter([5.0, 2.5, 3.0])
+        x, g_x, lo, hi, evaluations = _root(g, 1.0, 10.0, 0.0, x=1.0, step=lambda: next(proposals))
+        assert xs == [1.0, 5.0, 2.5, 3.0]
+        assert (x, g_x, lo, hi, evaluations) == (3.0, 0.0, 2.5, 5.0, 4)
+
+    @pytest.mark.parametrize("bad", [20.0, 10.0, 1.0, 0.5, math.nan])
+    def test_proposal_outside_takes_hi_once_then_midpoints(self, bad):
+        g, xs = recorded_line(3.0)
+        x, g_x, _, _, evaluations = _root(g, 1.0, 10.0, 1e-12, x=1.0, step=lambda: bad)
+        assert xs[:3] == [1.0, 10.0, math.sqrt(10.0)]
+        assert xs.count(10.0) == 1
+        assert evaluations == len(xs) and abs(g_x) <= 1e-12
+
+    def test_exhausted_bracket_returns_the_better_end(self):
+        g, xs = recorded_line(1.0)
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        assert _root(g, lo, hi, 1e-12, g_lo=-0.5, g_hi=0.6) == (lo, -0.5, lo, hi, 0)
+        assert _root(g, lo, hi, 1e-12, g_lo=-0.7, g_hi=0.6) == (hi, 0.6, lo, hi, 0)
+        assert xs == []
 
 
 @settings(max_examples=50, deadline=None)
