@@ -298,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--shift", choices=tuple(_SHIFTS), default="e0")
     s.add_argument("--grid", help="verification grid start:stop:points:(log|lin)")
 
-    s = subs.add_parser("compare", help="grid constants between the e0- and e-shift families")
+    s = subs.add_parser("compare", help="grid constants between the e0- and e-shift families; "
+                        "certified covers the 64-point grid only (all t: equivalence_norm_check)")
     _add_common(s, data=False)
     s.add_argument("--p", type=float, default=1.0)
     s.add_argument("--q", type=float, default=1.0)

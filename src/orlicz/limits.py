@@ -412,8 +412,10 @@ def equivalence_norm_check(
     difference h(t) = log(e0 + c t) - L log(e + t) has h(0) = 0 and
     h'(t) = c / (e0 + c t) - L / (e + t) > 0, because c (e + t) > L (e0 + c t)
     follows from c > L, c t >= L c t and e > e0; so h >= 0 for t >= 0.
-    c_e_in_e0 is computed as exp(-(q/p) log L) and reads inf past the double
-    range.
+    c_e_in_e0 is computed as exp(-(q/p) log L), reads inf past the double
+    range, and is rounded up by 4 eps (1 + |log c|) relative, a bound on the
+    rounding of that exp/log chain, so the returned double satisfies the
+    inequality on its own; q = 0 gives exactly 1.
     """
     _require_nonzero(f)
     A_e0 = YoungFunction.log_bump(p, q, shift=E0)
@@ -421,7 +423,9 @@ def equivalence_norm_check(
     norm_e0 = luxemburg_norm(A_e0, f, mu, tol).value
     norm_e = luxemburg_norm(A_e, f, mu, tol).value
     c_e0_in_e = 1.0
-    c_e_in_e0 = _exp_or_inf(-q / p * math.log(math.log(E0)))
+    log_c = -q / p * math.log(math.log(E0))
+    rounding = 4.0 * math.ulp(1.0) * (1.0 + abs(log_c))
+    c_e_in_e0 = _exp_or_inf(log_c) * (1.0 + rounding) if q > 0.0 else 1.0
     band = max(c_e0_in_e, c_e_in_e0)
     ratio = norm_e0 / norm_e
     slack = 1e-12

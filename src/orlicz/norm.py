@@ -23,9 +23,10 @@ overflows, log(shift + |f_i|/lam) is taken as
 logaddexp(log|f_i| - log lam, log shift).
 
 Pruning shrinks the work before the root search: it drops the atoms too
-small to move the modular anywhere in the bracket and charges their exact
-bound to the tolerance; at large q it keeps only the atoms near
-ess sup |f|, the pointwise domination behind the paper's upper bound.
+small to move the modular anywhere in the bracket, atoms with f_i = 0
+among them, and charges their exact bound to the tolerance; at large q it
+keeps only the atoms near ess sup |f|, the pointwise domination behind the
+paper's upper bound.
 
 With at least _NEWTON_MIN_ATOMS kept atoms the loop takes Newton
 proposals (_solve).  By the delta substitution the slope
@@ -73,11 +74,11 @@ class NormResult:
 
     residual bounds |modular(value) - 1| from above: it is the residual of
     the modular over the atoms the solver kept plus pruned_bound, the most
-    the dropped atoms (total weight pruned_mass) can add anywhere in the
-    bracket.  Both pruning fields are 0.0 when no atom was dropped.  The
-    residual is meaningful only for FINITE status; it meets the requested
-    tolerance whenever that tolerance sits above the modular's evaluation
-    noise floor (about q * 1e-16 relative).
+    the dropped atoms (total weight pruned_mass, atoms with f_i = 0
+    included) can add anywhere in the bracket.  Both pruning fields are 0.0
+    when no atom was dropped.  The residual is meaningful only for FINITE
+    status; it meets the requested tolerance whenever that tolerance sits
+    above the modular's evaluation noise floor (about q * 1e-16 relative).
     """
 
     value: float
@@ -174,14 +175,14 @@ def luxemburg_norm(
     """Luxemburg norm inf{lam > 0 : modular(lam) <= 1} by a bracketed root search.
 
     The starting bracket is certified in closed form: with M = ess sup |f|,
-    s = mass of the support and w = weight of the first atom attaining M,
+    s = total mass and w = weight of the first atom attaining M,
 
-        lam_hi = M / A^{-1}(1/s)   gives modular(lam_hi) <= 1,
+        lam_hi = M / A^{-1}(1/s)   gives modular(lam_hi) <= (support mass) / s <= 1,
         lam_lo = M / A^{-1}(1/w)   gives modular(lam_lo) >= 1.
 
     Atoms with |f_i| <= cut = lam_lo * A^{-1}(tol / (4s)) are then dropped
-    (the inverse to a loose 1e-3, since the bound is recomputed exactly):
-    for every lam >= lam_lo they add at most
+    (the inverse to a loose 1e-3, since the bound is recomputed exactly),
+    atoms with f_i = 0 among them: for every lam >= lam_lo they add at most
 
         pruned_bound = pruned_mass * A(cut / lam_lo),   about tol/4,
 
@@ -201,24 +202,23 @@ def luxemburg_norm(
         raise DomainError(f"tol must be positive, got {tol}")
     absf = np.abs(f.values)
     weights = mu.weights
-    support = absf > 0.0
-    if not np.any(support):
+    top = int(np.argmax(absf))
+    big = float(absf[top])
+    if big == 0.0:
         return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
 
-    big = float(absf.max())
-    mass_supp = float(np.sum(weights, where=support))
-    w_argmax = float(weights[int(np.argmax(absf))])
-    lo = big / A.inverse(1.0 / w_argmax)
-    hi = big / A.inverse(1.0 / mass_supp)
-    if lo > hi:  # identical in exact arithmetic when the support is one atom
+    mass = mu.total_mass
+    lo = big / A.inverse(1.0 / float(weights[top]))
+    hi = big / A.inverse(1.0 / mass)
+    if lo > hi:  # identical in exact arithmetic when the measure is one atom
         lo, hi = hi, lo
 
-    cut = lo * A.inverse(0.25 * tol / mass_supp, tol=1e-3)
+    cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
     keep = absf > cut
     pruned_mass = pruned_bound = 0.0
     if not keep.all():  # copy only when something is dropped
-        pruned_mass = float(np.sum(weights, where=support & ~keep))
-        if pruned_mass > 0.0:
+        pruned_mass = float(np.sum(weights, where=~keep))
+        if cut > 0.0:  # else only atoms with f_i = 0 were dropped, and they add 0
             pruned_bound = pruned_mass * math.exp(A.log_value(cut / lo))
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
         absf, weights = absf[keep], weights[keep]
@@ -261,17 +261,8 @@ def _solve(A: YoungFunction, a: np.ndarray, w: np.ndarray, lo: float, hi: float,
                 u = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
                 return lam * math.exp(min(u, 709.0))  # exp raises past 709; _root rejects nan
 
-            lam, h, lo, hi, evaluations = _root(g, lo, hi, tol, x=lo, step=step)
-        else:
-
-            def g(lam):
-                return 1.0 - modular_at(lam)
-
-            lam, h, lo, hi, evaluations = _root(g, lo, hi, tol)
-        if math.isinf(h):  # exhausted before either bracket end was evaluated
-            h = g(lam)
-            evaluations += 1
-    return lam, h, lo, hi, evaluations
+            return _root(g, lo, hi, tol, x=lo, step=step)
+        return _root(lambda lam: 1.0 - modular_at(lam), lo, hi, tol)
 
 
 def char_norm_closed_form(A: YoungFunction, m: float, tol: float = 1e-12) -> float:

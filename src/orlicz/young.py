@@ -146,9 +146,10 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
     evaluations) with the final bracket.  x is the first point with
     |g(x)| <= tol.  Once neither midpoint lies strictly inside the bracket,
     x is the end with the smaller known |g|; g_lo and g_hi are the values at
-    the starting ends, inf when not evaluated.  Every evaluation but those
-    of x and hi shrinks the bracket to a strictly smaller set of doubles,
-    so the loop ends.
+    the starting ends, inf when not evaluated, and an end returned without
+    a value is evaluated there.  Every evaluation but those of x and hi
+    shrinks the bracket to a strictly smaller set of doubles, so the loop
+    ends.
     """
     evaluations = 0
     while True:
@@ -157,9 +158,11 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
             if not lo < x < hi:
                 x = lo + 0.5 * (hi - lo)
             if not lo < x < hi:
-                if abs(g_lo) <= abs(g_hi):
-                    return lo, g_lo, lo, hi, evaluations
-                return hi, g_hi, lo, hi, evaluations
+                x, g_x = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
+                if g_x == math.inf:  # the mark of an end never evaluated; no g returns +inf
+                    g_x = g(x)
+                    evaluations += 1
+                return x, g_x, lo, hi, evaluations
         g_x = g(x)
         evaluations += 1
         if abs(g_x) <= tol:

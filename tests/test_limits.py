@@ -298,24 +298,29 @@ class TestEquivalence:
     @pytest.mark.parametrize("p", [1.0, 2.0, 5.0, 100.0])
     def test_closed_form_band_holds_for_all_t(self, p, q):
         # B_e(t) <= B_e0(c t) at t = 10^k, k in [-300, 300], in 50-digit
-        # logs with c = log(e0)^(-q/p), and the reported constant is that c
+        # logs with c = log(e0)^(-q/p) and with the reported constant, which
+        # is that c rounded up
         mu, f = atoms([1.0, 2.0], [0.5, 0.5])
         rec = equivalence_norm_check(f, mu, p, q)
         assert rec.c_e0_in_e == 1.0
         with mpmath.workdps(50):
             e0, e = mpmath.mpf(E0), mpmath.mpf(E)
+
+            def margin(c):
+                return min(
+                    p * mpmath.log(c)
+                    + q * mpmath.log(mpmath.log(e0 + c * t))
+                    - q * mpmath.log(mpmath.log(e + t))
+                    for t in (mpmath.mpf(10) ** k for k in range(-300, 301))
+                )
+
             c = mpmath.log(e0) ** (-mpmath.mpf(q) / p)
             if c > mpmath.mpf(sys.float_info.max):
                 assert rec.c_e_in_e0 == math.inf
             else:
                 assert abs(rec.c_e_in_e0 / c - 1) <= 1e-12
-            margin = min(
-                p * mpmath.log(c)
-                + q * mpmath.log(mpmath.log(e0 + c * t))
-                - q * mpmath.log(mpmath.log(e + t))
-                for t in (mpmath.mpf(10) ** k for k in range(-300, 301))
-            )
-        assert margin >= 0
+                assert margin(mpmath.mpf(rec.c_e_in_e0)) >= 0
+            assert margin(c) >= 0
 
     def test_random_instance_in_band(self):
         rng = np.random.default_rng(41)

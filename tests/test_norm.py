@@ -369,6 +369,49 @@ class TestPruning:
         # log-scale bisection: brackets spanning 600 decades cost no more
         assert res.iterations <= 64
 
+    @pytest.mark.parametrize("ratio", [1.0, 1e3])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 100.0, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
+    @pytest.mark.parametrize("case", ["lognormal", *sorted(EDGE_CASES)])
+    def test_zero_atoms_never_move_the_norm(self, monkeypatch, case, p, q, ratio):
+        # atoms with f_i = 0, of total weight ratio times the mass of the
+        # support, fall below the cut: each solve's residual is within tol and
+        # the modular's log slope is at least p, so the norms agree within
+        # 2 tol / p, and the zeros' weight is pruned with the rest
+        if case == "lognormal":
+            mu, f = lognormal_instance(seed=5, n=1000)
+            values, weights = f.values, mu.weights
+        else:
+            values, weights = (np.asarray(x, dtype=float) for x in EDGE_CASES[case])
+        rng = np.random.default_rng(7)
+        zero_weights = rng.uniform(0.1, 1.0, 8)
+        zero_weights *= ratio * float(weights[values != 0.0].sum()) / zero_weights.sum()
+        at = rng.integers(0, len(values) + 1, len(zero_weights))
+        padded_values = np.insert(values, at, 0.0)
+        padded_weights = np.insert(weights, at, zero_weights)
+        A = YoungFunction.log_bump(p, q)
+        mu, f = atoms(values, weights)
+        base = luxemburg_norm(A, f, mu, PRUNE_TOL)
+        mu, f = atoms(padded_values, padded_weights)
+        res, [kept] = counted_norm(monkeypatch, A, f, mu, PRUNE_TOL)
+        assert res.status is NormStatus.FINITE and res.residual <= PRUNE_TOL
+        assert abs(res.value / base.value - 1.0) <= 2.0 * PRUNE_TOL / p
+
+        # the solver kept the `kept` largest |f_i| and dropped the rest
+        dropped = np.argsort(padded_values)[: len(padded_values) - kept]
+        assert res.pruned_mass == pytest.approx(
+            float(padded_weights[dropped].sum()), rel=1e-12, abs=0.0
+        )
+        assert res.pruned_mass >= float(zero_weights.sum()) * (1.0 - 1e-12)
+
+    def test_cut_underflow_drops_only_zero_atoms(self):
+        # lo * A^{-1}(tol / (4s)) underflows to 0: every dropped atom has
+        # f_i = 0, so the dropped atoms add nothing and pruned_bound is 0
+        mu, f = atoms([0.0, 1e-300], [1e15, 1.0])
+        res = luxemburg_norm(YoungFunction.power(1), f, mu, PRUNE_TOL)
+        assert res.pruned_mass == 1e15 and res.pruned_bound == 0.0
+        assert res.value == pytest.approx(1e-300, rel=PRUNE_TOL)
+
 
 NEWTON_N = norm_module._NEWTON_MIN_ATOMS  # fewest kept atoms that take Newton steps
 
@@ -509,7 +552,7 @@ class TestCoarseStart:
         [(_, slope, lams)] = kernels
         big = float(values.max())
         lo = big / A.inverse(1.0 / float(weights[np.argmax(values)]))
-        hi = big / A.inverse(1.0 / float(np.sum(weights, where=values > 0.0)))
+        hi = big / A.inverse(1.0 / float(weights.sum()))
         assert slope and lams[:2] == [lo, hi]
         check_certified(A, values, weights, res, kernels)
 

@@ -265,6 +265,9 @@ class TestRoot:
         assert _root(g, lo, hi, 1e-12, g_lo=-0.5, g_hi=0.6) == (lo, -0.5, lo, hi, 0)
         assert _root(g, lo, hi, 1e-12, g_lo=-0.7, g_hi=0.6) == (hi, 0.6, lo, hi, 0)
         assert xs == []
+        # no known end: the end returned is evaluated there, and counted
+        assert _root(g, 2.0, 2.0, 1e-12) == (2.0, 1.0, 2.0, 2.0, 1)
+        assert xs == [2.0]
 
 
 @settings(max_examples=50, deadline=None)
