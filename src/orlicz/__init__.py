@@ -1,98 +1,16 @@
 """Numerical toolkit for Orlicz spaces generated by the log-bump family
 t**p * log(shift + t)**q, including Luxemburg norm computation and
-convergence experiments for the q -> infinity limit toward the sup norm."""
+convergence experiments for the q -> infinity limit toward the sup norm.
 
-from .errors import DomainError, InputError, NumericError, OrliczError
-from .young import (
-    E,
-    E0,
-    ComparisonResult,
-    YoungAxiomReport,
-    YoungFunction,
-    check_young,
-    compare,
-    default_grid,
-)
-from .measure import (
-    DiscreteMeasure,
-    SampledFunction,
-    ess_sup,
-    indicator,
-    level_set_measure,
-    load_csv,
-    quadrature_from_samples,
-    truncate,
-)
-from .norm import (
-    NormResult,
-    NormStatus,
-    char_norm_closed_form,
-    luxemburg_norm,
-    modular,
-    p_norm,
-)
-from .limits import (
-    BoundCheck,
-    ConvergenceReport,
-    DeltaRelationRecord,
-    EquivalenceRecord,
-    LiminfBoundRecord,
-    LogRatioRecord,
-    ThresholdRecord,
-    TruncationReport,
-    classical_p_sweep,
-    delta_relation_check,
-    equivalence_norm_check,
-    liminf_bound_check,
-    limit_sweep,
-    log_ratio_bound_check,
-    truncation_sweep,
-    upper_bound_threshold,
-)
+Each module's __all__ is its public API; the package re-exports them."""
+
+from . import errors, young, measure, norm, limits
+from .errors import *
+from .young import *
+from .measure import *
+from .norm import *
+from .limits import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "OrliczError",
-    "DomainError",
-    "InputError",
-    "NumericError",
-    "E",
-    "E0",
-    "YoungFunction",
-    "YoungAxiomReport",
-    "ComparisonResult",
-    "check_young",
-    "compare",
-    "default_grid",
-    "DiscreteMeasure",
-    "SampledFunction",
-    "ess_sup",
-    "indicator",
-    "level_set_measure",
-    "load_csv",
-    "quadrature_from_samples",
-    "truncate",
-    "NormResult",
-    "NormStatus",
-    "modular",
-    "luxemburg_norm",
-    "char_norm_closed_form",
-    "p_norm",
-    "BoundCheck",
-    "ConvergenceReport",
-    "LiminfBoundRecord",
-    "DeltaRelationRecord",
-    "ThresholdRecord",
-    "TruncationReport",
-    "EquivalenceRecord",
-    "LogRatioRecord",
-    "limit_sweep",
-    "classical_p_sweep",
-    "liminf_bound_check",
-    "delta_relation_check",
-    "upper_bound_threshold",
-    "truncation_sweep",
-    "log_ratio_bound_check",
-    "equivalence_norm_check",
-]
+__all__ = errors.__all__ + young.__all__ + measure.__all__ + norm.__all__ + limits.__all__

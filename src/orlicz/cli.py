@@ -241,27 +241,34 @@ def _run_compare(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
     return rows, ["direction", "c_estimate", "certified"]
 
 
-_COMMANDS = {
-    "norm": _run_norm,
-    "sweep": _run_sweep,
-    "classical": _run_classical,
-    "bounds": _run_bounds,
-    "check-young": _run_check_young,
-    "compare": _run_compare,
+_OPTIONS = {
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="solver tolerance"),
+    "--m": dict(type=float, default=1.0, help="mass of the characteristic function"),
+    "--p": dict(type=float, default=1.0),
+    "--q": dict(type=float, default=1.0),
+    "--shift": dict(choices=tuple(_SHIFTS), default="e0"),
 }
 
 
-def _add_common(sub, data: bool, schedule: str | None = None) -> None:
+def _add_command(subs, name, run, help, options=(), data=False, schedule=None, grid=None):
+    """Subcommand `name`, handled by run(args), with the shared `options` in
+    the order given; schedule "q" or "p" adds a required --q-grid or --p-grid,
+    and grid the help of an optional --grid."""
+    sub = subs.add_parser(name, help=help)
     if data:
         src = sub.add_mutually_exclusive_group(required=True)
         src.add_argument("--preset", help="indicator:m | geometric:r:n | step:L | ramp:n")
         src.add_argument("--input", dest="input_path", help="CSV file (x,weight,value or x,value)")
-    if schedule == "q":
-        sub.add_argument("--q-grid", required=True, help="q schedule start:stop:points:(log|lin)")
-    elif schedule == "p":
-        sub.add_argument("--p-grid", required=True, help="p schedule start:stop:points:(log|lin)")
+    if schedule is not None:
+        sub.add_argument(f"--{schedule}-grid", required=True,
+                         help=f"{schedule} schedule start:stop:points:(log|lin)")
     sub.add_argument("--output", help="report file (default: stdout)")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    for flag in options:
+        sub.add_argument(flag, **_OPTIONS[flag])
+    if grid is not None:
+        sub.add_argument("--grid", help=f"{grid} grid start:stop:points:(log|lin)")
+    sub.set_defaults(run=run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,41 +277,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Luxemburg norms for the log-bump Young family and the q -> infinity limit.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("norm", help="Luxemburg norm of a function")
-    _add_common(s, data=True)
-    s.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
-    s.add_argument("--p", type=float, default=1.0)
-    s.add_argument("--q", type=float, default=1.0)
-    s.add_argument("--shift", choices=tuple(_SHIFTS), default="e0")
-
-    s = subs.add_parser("sweep", help="norms along a q schedule (shift e0)")
-    _add_common(s, data=True, schedule="q")
-    s.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
-    s.add_argument("--p", type=float, default=1.0)
-
-    s = subs.add_parser("classical", help="p-norms along a p schedule")
-    _add_common(s, data=True, schedule="p")
-
-    s = subs.add_parser("bounds", help="characteristic-function lower bound and delta chain")
-    _add_common(s, data=False, schedule="q")
-    s.add_argument("--m", type=float, default=1.0, help="mass of the characteristic function")
-    s.add_argument("--p", type=float, default=1.0)
-
-    s = subs.add_parser("check-young", help="verify the Young axioms on a grid")
-    _add_common(s, data=False)
-    s.add_argument("--p", type=float, default=1.0)
-    s.add_argument("--q", type=float, default=1.0)
-    s.add_argument("--shift", choices=tuple(_SHIFTS), default="e0")
-    s.add_argument("--grid", help="verification grid start:stop:points:(log|lin)")
-
-    s = subs.add_parser("compare", help="grid constants between the e0- and e-shift families; "
-                        "certified covers the 64-point grid only (all t: equivalence_norm_check)")
-    _add_common(s, data=False)
-    s.add_argument("--p", type=float, default=1.0)
-    s.add_argument("--q", type=float, default=1.0)
-    s.add_argument("--grid", help="comparison grid start:stop:points:(log|lin)")
-
+    _add_command(subs, "norm", _run_norm, "Luxemburg norm of a function",
+                 ("--tol", "--p", "--q", "--shift"), data=True)
+    _add_command(subs, "sweep", _run_sweep, "norms along a q schedule (shift e0)",
+                 ("--tol", "--p"), data=True, schedule="q")
+    _add_command(subs, "classical", _run_classical, "p-norms along a p schedule",
+                 data=True, schedule="p")
+    _add_command(subs, "bounds", _run_bounds,
+                 "characteristic-function lower bound and delta chain",
+                 ("--m", "--p"), schedule="q")
+    _add_command(subs, "check-young", _run_check_young, "verify the Young axioms on a grid",
+                 ("--p", "--q", "--shift"), grid="verification")
+    _add_command(subs, "compare", _run_compare,
+                 "grid constants between the e0- and e-shift families; "
+                 "certified covers the 64-point grid only (all t: equivalence_norm_check)",
+                 ("--p", "--q"), grid="comparison")
     return parser
 
 
@@ -315,7 +302,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _emit(*_COMMANDS[args.command](args), args)
+        _emit(*args.run(args), args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

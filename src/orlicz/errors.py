@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["OrliczError", "DomainError", "InputError", "NumericError"]
+
 
 class OrliczError(Exception):
     """Base class for all errors raised by this package."""

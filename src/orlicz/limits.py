@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InputError, NumericError
 from .measure import DiscreteMeasure, SampledFunction, ess_sup, truncate
 from .norm import DEFAULT_TOL, luxemburg_norm, char_norm_closed_form, modular, p_norm
@@ -28,9 +26,7 @@ __all__ = [
     "ConvergenceReport",
     "LiminfBoundRecord",
     "DeltaRelationRecord",
-    "ThresholdEntry",
     "ThresholdRecord",
-    "TruncationEntry",
     "TruncationReport",
     "EquivalenceRecord",
     "LogRatioRecord",
@@ -42,7 +38,6 @@ __all__ = [
     "truncation_sweep",
     "log_ratio_bound_check",
     "equivalence_norm_check",
-    "convergence_rows",
 ]
 
 # Desk-scale surrogate for the liminf half: once q reaches this size the
@@ -75,9 +70,12 @@ class ConvergenceReport:
     passed: bool
 
 
-def _require_nonzero(f: SampledFunction) -> None:
-    if not np.any(f.values != 0.0):
+def _nonzero_sup(f: SampledFunction, mu: DiscreteMeasure) -> float:
+    """ess_sup(f, mu); DomainError when f is identically zero."""
+    top = ess_sup(f, mu)
+    if top == 0.0:
         raise DomainError("the test function must not be identically zero")
+    return top
 
 
 def _gaps_weakly_decreasing(gaps: list[float]) -> bool:
@@ -116,8 +114,7 @@ def limit_sweep(
     the first, and gaps decrease weakly over the final half.
     """
     qs = _validate_grid(q_schedule, "q_schedule", min_len=3)
-    _require_nonzero(f)
-    reference = ess_sup(f, mu)
+    reference = _nonzero_sup(f, mu)
     norms, checks = [], []
     for q in qs:
         A = YoungFunction.log_bump(p, q)
@@ -139,8 +136,7 @@ def classical_p_sweep(f: SampledFunction, mu: DiscreteMeasure, p_schedule) -> Co
     ps = _validate_grid(p_schedule, "p_schedule")
     if any(p < 1.0 for p in ps):
         raise InputError("p_schedule entries must be >= 1")
-    _require_nonzero(f)
-    reference = ess_sup(f, mu)
+    reference = _nonzero_sup(f, mu)
     norms = [p_norm(f, mu, p) for p in ps]
     checks = [[] for _ in ps]
     return _finish_report(ps, norms, reference, checks)
@@ -247,11 +243,15 @@ class ThresholdRecord:
     """Upper-bound certificate at lam = (1 + eps) * ess sup.
 
     q_star is the first schedule entry whose modular at lam is <= 1; past
-    it every norm must stay below lam (within tol).  domination_ok checks
-    the paper's domination step on the recorded data: every |f_i|/lam is
-    below 1, where log(e0 + t) <= 1, so from q_star on every modular_value
-    is at most the one at q_star (within relative slack _WEAK_SLACK).  It
-    is vacuously True when q_star is not found.
+    it every norm must stay below lam.  norm_ok tests value <= lam * (1 +
+    tol), a relative slack, so the verdict does not depend on the scale of
+    f: each norm is solved to DEFAULT_TOL, so it lies within about
+    DEFAULT_TOL / p relative of the exact one (|modular - 1| <= DEFAULT_TOL
+    and d log modular / d log lam <= -p), which tol must exceed.
+    domination_ok checks the paper's domination step on the recorded data:
+    every |f_i|/lam is below 1, where log(e0 + t) <= 1, so from q_star on
+    every modular_value is at most the one at q_star (within relative slack
+    _WEAK_SLACK).  It is vacuously True when q_star is not found.
     """
 
     lam: float
@@ -272,10 +272,10 @@ def upper_bound_threshold(
     tol: float = 1e-9,
 ) -> ThresholdRecord:
     qs = _validate_grid(q_schedule, "q_schedule")
-    _require_nonzero(f)
+    top = _nonzero_sup(f, mu)
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    lam = (1.0 + eps) * ess_sup(f, mu)
+    lam = (1.0 + eps) * top
 
     q_star = None
     entries = []
@@ -288,7 +288,7 @@ def upper_bound_threshold(
             entries.append(ThresholdEntry(q, mv, None, None))
         else:
             value = luxemburg_norm(A, f, mu).value
-            entries.append(ThresholdEntry(q, mv, value, value <= lam + tol))
+            entries.append(ThresholdEntry(q, mv, value, value <= lam * (1.0 + tol)))
 
     tail = [e.modular_value for e in entries if e.norm_value is not None]
     domination_ok = all(mv <= tail[0] * (1.0 + _WEAK_SLACK) for mv in tail[1:])
@@ -315,7 +315,11 @@ class TruncationReport:
 
     Each truncated sweep must converge to min(ess sup |f|, N), relative to
     that target, and the untruncated terminal norm must dominate every
-    truncated one because min(|f|, N) <= |f| pointwise.
+    truncated one because min(|f|, N) <= |f| pointwise.  dominated_ok
+    tests terminal_norm <= f_terminal_norm * (1 + 2 tol / p), a relative
+    slack, so the verdict does not depend on the scale of f: each norm is
+    within about tol / p relative of the exact one, because |modular - 1|
+    <= tol and d log modular / d log lam <= -p.
     """
 
     f_terminal_norm: float
@@ -334,8 +338,7 @@ def truncation_sweep(
 ) -> TruncationReport:
     Ns = _validate_grid(N_schedule, "N_schedule")
     qs = _validate_grid(q_schedule, "q_schedule", min_len=3)
-    _require_nonzero(f)
-    top = ess_sup(f, mu)
+    top = _nonzero_sup(f, mu)
     q_top = qs[-1]
     f_terminal = luxemburg_norm(YoungFunction.log_bump(p, q_top), f, mu, tol).value
 
@@ -346,7 +349,7 @@ def truncation_sweep(
         terminal = sweep.norms[-1]
         target = min(top, N)
         converged = abs(terminal - target) <= convergence_rtol * target
-        dominated_ok = f_terminal >= terminal - tol
+        dominated_ok = terminal <= f_terminal * (1.0 + 2.0 * tol / p)
         entries.append(TruncationEntry(N, target, terminal, converged, dominated_ok, sweep))
 
     passed = all(e.converged and e.dominated_ok for e in entries)
@@ -417,7 +420,7 @@ def equivalence_norm_check(
     rounding of that exp/log chain, so the returned double satisfies the
     inequality on its own; q = 0 gives exactly 1.
     """
-    _require_nonzero(f)
+    _nonzero_sup(f, mu)
     A_e0 = YoungFunction.log_bump(p, q, shift=E0)
     A_e = YoungFunction.log_bump(p, q, shift=E)
     norm_e0 = luxemburg_norm(A_e0, f, mu, tol).value

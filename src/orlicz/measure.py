@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import DomainError, InputError
 __all__ = [
     "DiscreteMeasure",
     "SampledFunction",
-    "check_aligned",
     "ess_sup",
     "level_set_measure",
     "truncate",
@@ -41,10 +40,11 @@ def _as_readonly_1d(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Ordered atoms (coordinate label, positive weight)."""
+    """Ordered atoms (coordinate label, positive weight) and their total weight."""
 
     coordinates: np.ndarray
     weights: np.ndarray
+    total_mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
         coords = _as_readonly_1d(self.coordinates, "coordinates")
@@ -65,13 +65,10 @@ class DiscreteMeasure:
             raise InputError("the total weight overflows the double range")
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "total_mass", float(total))
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
 
 @dataclass(frozen=True, eq=False)

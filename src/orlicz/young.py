@@ -23,7 +23,6 @@ __all__ = [
     "E0",
     "E",
     "YoungFunction",
-    "AxiomCheck",
     "YoungAxiomReport",
     "ComparisonResult",
     "check_young",
@@ -188,8 +187,6 @@ def _solve_log(A: YoungFunction, target: float, tol_log: float) -> float:
         return A.log_value(t) - target
 
     g1 = g(1.0)
-    if g1 == 0.0:
-        return 1.0
     end = math.exp(min(max(-g1 / A.p, -745.0), 709.0))  # finite and nonzero
     lo, g_lo, hi, g_hi = (1.0, g1, end, math.inf) if g1 < 0.0 else (end, math.inf, 1.0, g1)
     t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi)
@@ -264,7 +261,8 @@ def check_young(A: YoungFunction, grid, tol: float = 1e-9) -> YoungAxiomReport:
     pts = _validate_grid(grid)
     logs = [A.log_value(t) for t in pts]
 
-    zero = AxiomCheck("zero_at_zero", A.value(0.0) == 0.0, None if A.value(0.0) == 0.0 else 0.0)
+    zero_ok = A.value(0.0) == 0.0
+    zero = AxiomCheck("zero_at_zero", zero_ok, None if zero_ok else 0.0)
 
     mono = AxiomCheck("strictly_increasing", True)
     for i in range(len(pts) - 1):

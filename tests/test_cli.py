@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orlicz import InputError, YoungFunction, luxemburg_norm, limit_sweep
-from orlicz.cli import build_preset, main, parse_schedule
+from orlicz.cli import _build_parser, build_preset, main, parse_schedule
 from orlicz.limits import convergence_rows
 
 
@@ -259,3 +259,38 @@ class TestExitCodes:
         code = run_cli("norm", "--preset", "indicator:1", "--p", "1", "--q", "1")
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+# Each subcommand's full option set and defaults, given its required options.
+# Written out by hand, not read from the parser, so a dropped or added
+# option, or a moved default, fails here.
+_DATA = {"preset": "indicator:1", "input_path": None}
+_REPORT = {"output": None, "fmt": "csv"}
+COMMAND_OPTIONS = [
+    (["norm", "--preset", "indicator:1"],
+     {**_DATA, **_REPORT, "tol": 1e-10, "p": 1.0, "q": 1.0, "shift": "e0"}),
+    (["sweep", "--preset", "indicator:1", "--q-grid", "1:10:3:log"],
+     {**_DATA, "q_grid": "1:10:3:log", **_REPORT, "tol": 1e-10, "p": 1.0}),
+    (["classical", "--preset", "indicator:1", "--p-grid", "1:10:3:log"],
+     {**_DATA, "p_grid": "1:10:3:log", **_REPORT}),
+    (["bounds", "--q-grid", "1:10:3:log"],
+     {"q_grid": "1:10:3:log", **_REPORT, "m": 1.0, "p": 1.0}),
+    (["check-young"], {**_REPORT, "p": 1.0, "q": 1.0, "shift": "e0", "grid": None}),
+    (["compare"], {**_REPORT, "p": 1.0, "q": 1.0, "grid": None}),
+]
+COMMAND_IDS = [argv[0] for argv, _ in COMMAND_OPTIONS]
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize("argv, expected", COMMAND_OPTIONS, ids=COMMAND_IDS)
+    def test_option_set_and_defaults(self, argv, expected):
+        args = vars(_build_parser().parse_args(argv))
+        assert args.pop("command") == argv[0]
+        assert callable(args.pop("run"))
+        assert args == expected
+
+    def test_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one usage line at any terminal width
+        assert main(["--help"]) == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == f"usage: orlicz [-h] {{{','.join(COMMAND_IDS)}}} ..."

@@ -12,12 +12,14 @@ from orlicz import (
     DomainError,
     InputError,
     SampledFunction,
+    YoungFunction,
     classical_p_sweep,
     delta_relation_check,
     equivalence_norm_check,
     liminf_bound_check,
     limit_sweep,
     log_ratio_bound_check,
+    luxemburg_norm,
     truncation_sweep,
     upper_bound_threshold,
 )
@@ -84,6 +86,22 @@ class TestLimitSweep:
         mu, f = atoms([0.0], [1])
         with pytest.raises(DomainError):
             limit_sweep(f, mu, 1.0, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda f, mu: limit_sweep(f, mu, 1.0, [1.0, 2.0, 3.0]),
+            lambda f, mu: classical_p_sweep(f, mu, [1.0, 2.0]),
+            lambda f, mu: upper_bound_threshold(f, mu, 1.0, 0.1, [1.0, 2.0]),
+            lambda f, mu: truncation_sweep(f, mu, 1.0, [1.0], [1.0, 2.0, 3.0]),
+            lambda f, mu: equivalence_norm_check(f, mu, 1.0, 1.0),
+        ],
+        ids=["limit_sweep", "classical", "threshold", "truncation", "equivalence"],
+    )
+    def test_misalignment_reported_before_zero_function(self, check):
+        mu, _ = atoms([1, 2, 3], [1, 1, 1])
+        with pytest.raises(InputError, match="3 atoms"):
+            check(SampledFunction([0.0, 0.0]), mu)
 
     def test_rows_serialization(self):
         mu, f = atoms([1], [0.5])
@@ -228,6 +246,39 @@ class TestTruncationSweep:
         rep = truncation_sweep(f, mu, 1.0, [2.0], [10.0, 100.0, 1000.0])
         # min(|f|, sup) == |f|, and the norm only sees |f|
         assert rep.entries[0].terminal_norm == pytest.approx(rep.f_terminal_norm, rel=1e-10)
+
+
+class TestScaleFreeVerdicts:
+    """The norm is positively homogeneous, so scaling f by 2^k must leave
+    every verdict unchanged; absolute slacks made these two flip."""
+
+    SCALES = [2.0**k for k in (-40, 0, 20, 40)]
+
+    def test_truncation_domination(self):
+        rng = np.random.default_rng(29)
+        values = rng.lognormal(size=20)
+        mu, f = atoms(values, rng.uniform(0.1, 1.0, 20) / 20)
+        verdicts = []
+        for s in self.SCALES:
+            fs = SampledFunction(f.values * s)
+            N = float(np.max(fs.values)) * (1.0 - 1e-13)
+            rep = truncation_sweep(fs, mu, 2.0, [N], [1.0, 10.0, 100.0])
+            verdicts.append(rep.entries[0].dominated_ok)
+        assert verdicts == [True] * len(self.SCALES)
+
+    @pytest.mark.parametrize("seed", [4, 38, 46, 59])
+    def test_threshold_norm_check(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.lognormal(size=6)
+        mu, f = atoms(values, rng.uniform(0.5, 2.0, 6))
+        eps = luxemburg_norm(YoungFunction.log_bump(1.0, 10.0), f, mu).value / values.max() - 1.0
+        verdicts = [
+            upper_bound_threshold(
+                SampledFunction(values * s), mu, 1.0, eps, [10.0, 20.0, 40.0]
+            ).passed
+            for s in self.SCALES
+        ]
+        assert verdicts == [verdicts[1]] * len(self.SCALES)
 
 
 class TestClassicalPSweep:
