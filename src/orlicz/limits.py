@@ -48,6 +48,12 @@ LIMINF_MARGIN = 1e-3
 
 _WEAK_SLACK = 1e-12  # relative slack when testing weak decrease (gaps, modulars)
 
+# Relative slack of upper_bound_threshold's norm_ok.  Each norm is solved to
+# DEFAULT_TOL, so it lies within about DEFAULT_TOL / p relative of the exact
+# one (|modular - 1| <= DEFAULT_TOL and d log modular / d log lam <= -p);
+# the slack must exceed that.
+_THRESHOLD_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -187,7 +193,8 @@ class DeltaRelationRecord:
     For 0 < lam < 1 the identity
         lam^(-p) * log(e0 + 1/lam)^q = (e^(1+delta) - e0)^p * (1+delta)^q
     holds exactly, and the right side dominates 1 + q*delta > q*delta.
-    identity_ok and bernoulli_ok compare logarithms, so they hold at any q.
+    identity_ok (the sides agree to relative 1e-9) and bernoulli_ok compare
+    logarithms, so they hold at any q.
     tail_ok decides 1 + q*delta > q*delta exactly, not in rounded doubles:
     it is True whenever q*delta is finite.  direct and substituted are the
     two sides, math.inf where they exceed the double range.
@@ -206,9 +213,7 @@ class DeltaRelationRecord:
     passed: bool
 
 
-def delta_relation_check(
-    lam: float, p: float, q: float, identity_rtol: float = 1e-9
-) -> DeltaRelationRecord:
+def delta_relation_check(lam: float, p: float, q: float) -> DeltaRelationRecord:
     if not 0.0 < lam < 1.0:
         raise DomainError(f"delta relation needs 0 < lam < 1, got {lam}")
     if not q >= 1.0:
@@ -220,7 +225,7 @@ def delta_relation_check(
     log_substituted = p * math.log(math.exp(1.0 + delta) - E0) + q * math.log1p(delta)
     diff = log_direct - log_substituted  # rounding at large q can set them 709+ apart
     rel_err = abs(math.expm1(diff)) if diff < 709.0 else _exp_or_inf(diff)
-    identity_ok = rel_err <= identity_rtol
+    identity_ok = rel_err <= 1e-9
     bernoulli_ok = log_substituted >= math.log1p(q * delta)
     tail_ok = math.isfinite(q * delta)
     passed = delta > 0.0 and identity_ok and bernoulli_ok and tail_ok
@@ -244,10 +249,8 @@ class ThresholdRecord:
 
     q_star is the first schedule entry whose modular at lam is <= 1; past
     it every norm must stay below lam.  norm_ok tests value <= lam * (1 +
-    tol), a relative slack, so the verdict does not depend on the scale of
-    f: each norm is solved to DEFAULT_TOL, so it lies within about
-    DEFAULT_TOL / p relative of the exact one (|modular - 1| <= DEFAULT_TOL
-    and d log modular / d log lam <= -p), which tol must exceed.
+    _THRESHOLD_RTOL), a relative slack, so the verdict does not depend on
+    the scale of f.
     domination_ok checks the paper's domination step on the recorded data:
     every |f_i|/lam is below 1, where log(e0 + t) <= 1, so from q_star on
     every modular_value is at most the one at q_star (within relative slack
@@ -264,12 +267,7 @@ class ThresholdRecord:
 
 
 def upper_bound_threshold(
-    f: SampledFunction,
-    mu: DiscreteMeasure,
-    p: float,
-    eps: float,
-    q_schedule,
-    tol: float = 1e-9,
+    f: SampledFunction, mu: DiscreteMeasure, p: float, eps: float, q_schedule
 ) -> ThresholdRecord:
     qs = _validate_grid(q_schedule, "q_schedule")
     top = _nonzero_sup(f, mu)
@@ -288,7 +286,7 @@ def upper_bound_threshold(
             entries.append(ThresholdEntry(q, mv, None, None))
         else:
             value = luxemburg_norm(A, f, mu).value
-            entries.append(ThresholdEntry(q, mv, value, value <= lam * (1.0 + tol)))
+            entries.append(ThresholdEntry(q, mv, value, value <= lam * (1.0 + _THRESHOLD_RTOL)))
 
     tail = [e.modular_value for e in entries if e.norm_value is not None]
     domination_ok = all(mv <= tail[0] * (1.0 + _WEAK_SLACK) for mv in tail[1:])
@@ -313,13 +311,14 @@ class TruncationEntry:
 class TruncationReport:
     """Sweeps of min(|f|, N) for each truncation level N.
 
-    Each truncated sweep must converge to min(ess sup |f|, N), relative to
-    that target, and the untruncated terminal norm must dominate every
-    truncated one because min(|f|, N) <= |f| pointwise.  dominated_ok
-    tests terminal_norm <= f_terminal_norm * (1 + 2 tol / p), a relative
-    slack, so the verdict does not depend on the scale of f: each norm is
-    within about tol / p relative of the exact one, because |modular - 1|
-    <= tol and d log modular / d log lam <= -p.
+    Each truncated sweep must converge to min(ess sup |f|, N), to within
+    1e-3 relative to that target, and the untruncated terminal norm must
+    dominate every truncated one because min(|f|, N) <= |f| pointwise.
+    Every norm is solved to DEFAULT_TOL.  dominated_ok tests terminal_norm
+    <= f_terminal_norm * (1 + 2 DEFAULT_TOL / p), a relative slack, so the
+    verdict does not depend on the scale of f: each norm is within about
+    DEFAULT_TOL / p relative of the exact one, because |modular - 1| <=
+    DEFAULT_TOL and d log modular / d log lam <= -p.
     """
 
     f_terminal_norm: float
@@ -328,28 +327,22 @@ class TruncationReport:
 
 
 def truncation_sweep(
-    f: SampledFunction,
-    mu: DiscreteMeasure,
-    p: float,
-    N_schedule,
-    q_schedule,
-    tol: float = DEFAULT_TOL,
-    convergence_rtol: float = 1e-3,
+    f: SampledFunction, mu: DiscreteMeasure, p: float, N_schedule, q_schedule
 ) -> TruncationReport:
     Ns = _validate_grid(N_schedule, "N_schedule")
     qs = _validate_grid(q_schedule, "q_schedule", min_len=3)
     top = _nonzero_sup(f, mu)
     q_top = qs[-1]
-    f_terminal = luxemburg_norm(YoungFunction.log_bump(p, q_top), f, mu, tol).value
+    f_terminal = luxemburg_norm(YoungFunction.log_bump(p, q_top), f, mu).value
 
     entries = []
     for N in Ns:
         fN = truncate(f, N)
-        sweep = limit_sweep(fN, mu, p, qs, tol)
+        sweep = limit_sweep(fN, mu, p, qs)
         terminal = sweep.norms[-1]
         target = min(top, N)
-        converged = abs(terminal - target) <= convergence_rtol * target
-        dominated_ok = terminal <= f_terminal * (1.0 + 2.0 * tol / p)
+        converged = abs(terminal - target) <= 1e-3 * target
+        dominated_ok = terminal <= f_terminal * (1.0 + 2.0 * DEFAULT_TOL / p)
         entries.append(TruncationEntry(N, target, terminal, converged, dominated_ok, sweep))
 
     passed = all(e.converged and e.dominated_ok for e in entries)
@@ -400,13 +393,10 @@ class EquivalenceRecord:
 
 
 def equivalence_norm_check(
-    f: SampledFunction,
-    mu: DiscreteMeasure,
-    p: float,
-    q: float,
-    tol: float = DEFAULT_TOL,
+    f: SampledFunction, mu: DiscreteMeasure, p: float, q: float
 ) -> EquivalenceRecord:
-    """Norms of f under the shifts e0 = e-1 and e, and the closed-form band.
+    """Norms of f under the shifts e0 = e-1 and e, each solved to
+    DEFAULT_TOL, and the closed-form band.
 
     Both constants hold for all t > 0.  B_e0(t) <= B_e(t) since log(e0 + t)
     <= log(e + t), with c_e0_in_e = 1 tight as t -> inf.  For the reverse,
@@ -423,8 +413,8 @@ def equivalence_norm_check(
     _nonzero_sup(f, mu)
     A_e0 = YoungFunction.log_bump(p, q, shift=E0)
     A_e = YoungFunction.log_bump(p, q, shift=E)
-    norm_e0 = luxemburg_norm(A_e0, f, mu, tol).value
-    norm_e = luxemburg_norm(A_e, f, mu, tol).value
+    norm_e0 = luxemburg_norm(A_e0, f, mu).value
+    norm_e = luxemburg_norm(A_e, f, mu).value
     c_e0_in_e = 1.0
     log_c = -q / p * math.log(math.log(E0))
     rounding = 4.0 * math.ulp(1.0) * (1.0 + abs(log_c))

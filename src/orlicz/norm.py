@@ -265,11 +265,11 @@ def _solve(A: YoungFunction, a: np.ndarray, w: np.ndarray, lo: float, hi: float,
         return _root(lambda lam: 1.0 - modular_at(lam), lo, hi, tol)
 
 
-def char_norm_closed_form(A: YoungFunction, m: float, tol: float = 1e-12) -> float:
+def char_norm_closed_form(A: YoungFunction, m: float) -> float:
     """Norm of a characteristic function of mass m: 1 / A^{-1}(1/m)."""
     if not m > 0.0:
         raise DomainError(f"mass must be positive, got {m}")
-    return 1.0 / A.inverse(1.0 / m, tol=tol)
+    return 1.0 / A.inverse(1.0 / m)
 
 
 def p_norm(f: SampledFunction, mu: DiscreteMeasure, p: float) -> float:

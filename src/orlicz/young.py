@@ -34,6 +34,7 @@ E0 = math.e - 1.0  # log(E0 + 1) == 1
 E = math.e
 
 _LN2 = math.log(2.0)
+_GRID_SLACK = math.log1p(1e-9)  # check_young's and compare's relative slack 1e-9, in logs
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,6 @@ class YoungFunction:
         """A(t) for scalar t >= 0.  Values beyond the double range come back
         as math.inf (overflow) or 0.0 (underflow)."""
         return float(self.value_array(np.asarray([t], dtype=float))[0])
-
-    def __call__(self, t: float) -> float:
-        return self.value(t)
 
     def value_array(self, t: np.ndarray) -> np.ndarray:
         """Vectorized A(t) in a fresh array, t untouched; same semantics as value().
@@ -229,9 +227,9 @@ class YoungAxiomReport:
         return all(c.passed for c in self.checks)
 
 
-def default_grid(lo: float = 1e-6, hi: float = 1e6, n: int = 64) -> tuple[float, ...]:
-    """64 log-spaced points spanning both sides of the t = 1 knee."""
-    return tuple(float(x) for x in np.geomspace(lo, hi, n))
+def default_grid() -> tuple[float, ...]:
+    """64 log-spaced points from 1e-6 to 1e6, spanning both sides of the t = 1 knee."""
+    return tuple(float(x) for x in np.geomspace(1e-6, 1e6, 64))
 
 
 def _validate_grid(
@@ -249,13 +247,13 @@ def _validate_grid(
     return pts
 
 
-def check_young(A: YoungFunction, grid, tol: float = 1e-9) -> YoungAxiomReport:
+def check_young(A: YoungFunction, grid) -> YoungAxiomReport:
     """Verify the Young axioms of A on a sorted positive grid.
 
     Checks, in the log domain so that extreme q cannot overflow:
     value 0 at 0; strict increase across the grid; midpoint convexity
     A((s+t)/2) <= (A(s)+A(t))/2 on consecutive pairs, with relative slack
-    tol; strict increase of A(t)/t on the tail t >= 1.  Each failed axiom
+    1e-9; strict increase of A(t)/t on the tail t >= 1.  Each failed axiom
     reports its first violating grid point.
     """
     pts = _validate_grid(grid)
@@ -271,11 +269,10 @@ def check_young(A: YoungFunction, grid, tol: float = 1e-9) -> YoungAxiomReport:
             break
 
     convex = AxiomCheck("midpoint_convex", True)
-    slack = math.log1p(tol)
     for i in range(len(pts) - 1):
         m = 0.5 * (pts[i] + pts[i + 1])
         log_mean = float(np.logaddexp(logs[i], logs[i + 1])) - _LN2
-        if A.log_value(m) > log_mean + slack:
+        if A.log_value(m) > log_mean + _GRID_SLACK:
             convex = AxiomCheck("midpoint_convex", False, m)
             break
 
@@ -302,17 +299,16 @@ class ComparisonResult:
     certified: bool
 
 
-def compare(A: YoungFunction, B: YoungFunction, grid, tol: float = 1e-9) -> ComparisonResult:
+def compare(A: YoungFunction, B: YoungFunction, grid) -> ComparisonResult:
     """Smallest grid-certified c with A(t) <= B(c t) for every grid t.
 
     Per point the exact c_t solves B(c_t t) = A(t); the estimate is the max
-    over the grid, re-verified with relative slack tol.
+    over the grid, re-verified with relative slack 1e-9.
     """
     pts = _validate_grid(grid, require_sorted=False)
     c_best = 0.0
     for t in pts:
         s = _solve_log(B, A.log_value(t), 1e-13)
         c_best = max(c_best, s / t)
-    slack = math.log1p(tol)
-    certified = all(A.log_value(t) <= B.log_value(c_best * t) + slack for t in pts)
+    certified = all(A.log_value(t) <= B.log_value(c_best * t) + _GRID_SLACK for t in pts)
     return ComparisonResult(c_best, tuple(pts), certified)

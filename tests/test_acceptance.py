@@ -255,9 +255,7 @@ def test_criterion_11_truncation():
     so an absolute 1e-3 reading is unattainable by the mathematics itself.
     """
     mu, f = atoms([1.0, 10.0, 100.0], [1.0, 1.0, 1.0])
-    rep = truncation_sweep(
-        f, mu, 1.0, [1.0, 10.0, 50.0], [100.0, 1000.0, 10000.0], convergence_rtol=1e-3
-    )
+    rep = truncation_sweep(f, mu, 1.0, [1.0, 10.0, 50.0], [100.0, 1000.0, 10000.0])
     details = ", ".join(
         f"N={e.N:g}: |{e.terminal_norm:.6f} - {e.target:g}|" for e in rep.entries
     )

@@ -11,6 +11,7 @@ from orlicz import (
     DiscreteMeasure,
     DomainError,
     InputError,
+    NumericError,
     SampledFunction,
     YoungFunction,
     classical_p_sweep,
@@ -23,6 +24,7 @@ from orlicz import (
     truncation_sweep,
     upper_bound_threshold,
 )
+import orlicz.limits as limits_module
 from orlicz.limits import convergence_rows
 from conftest import atoms, random_instance
 
@@ -86,6 +88,18 @@ class TestLimitSweep:
         mu, f = atoms([0.0], [1])
         with pytest.raises(DomainError):
             limit_sweep(f, mu, 1.0, [1.0, 2.0, 3.0])
+
+    def test_solver_failure_names_q(self, monkeypatch):
+        def failing_at_q10(A, f, mu, tol):
+            if A.q == 10.0:
+                raise NumericError("stalled")
+            return luxemburg_norm(A, f, mu, tol)
+
+        monkeypatch.setattr(limits_module, "luxemburg_norm", failing_at_q10)
+        mu, f = atoms([1], [0.5])
+        with pytest.raises(NumericError, match="^norm solver failed at q=10.0: stalled$") as info:
+            limit_sweep(f, mu, 1.0, [1.0, 10.0, 100.0])
+        assert str(info.value.__cause__) == "stalled"
 
     @pytest.mark.parametrize(
         "check",
@@ -169,6 +183,11 @@ class TestDeltaRelation:
     def test_domain(self, lam):
         with pytest.raises(DomainError):
             delta_relation_check(lam, 1.0, 1.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, math.nan])
+    def test_q_below_one_rejected(self, q):
+        with pytest.raises(DomainError, match="Bernoulli"):
+            delta_relation_check(0.5, 1.0, q)
 
     @pytest.mark.parametrize("q", [1e17, 1e300])
     def test_tail_holds_past_double_resolution(self, q):

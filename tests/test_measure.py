@@ -38,6 +38,30 @@ class TestConstruction:
         with pytest.raises(InputError):
             SampledFunction([1.0, np.inf])
 
+    def test_needs_a_value(self):
+        with pytest.raises(InputError, match="at least one value"):
+            SampledFunction([])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DiscreteMeasure([[0.0, 1.0]], [[1.0, 1.0]]), "coordinates must be one-dimensional"),
+            (lambda: DiscreteMeasure([0.0], [[1.0]]), "weights must be one-dimensional"),
+            (lambda: SampledFunction(1.0), "values must be one-dimensional"),
+        ],
+    )
+    def test_arrays_must_be_one_dimensional(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
+
+    def test_lengths_must_match(self):
+        with pytest.raises(InputError, match="length mismatch: 2 vs 1"):
+            DiscreteMeasure([0.0, 1.0], [1.0])
+
+    def test_coordinates_must_be_finite(self):
+        with pytest.raises(InputError, match="coordinates must be finite"):
+            DiscreteMeasure([0.0, np.nan], [1.0, 1.0])
+
     def test_immutable_arrays(self):
         mu = DiscreteMeasure([0.0], [1.0])
         with pytest.raises(ValueError):
@@ -175,6 +199,10 @@ class TestQuadrature:
         with pytest.raises(InputError):
             quadrature_from_samples([0.0, 1.0], [0.0])
 
+    def test_single_sample_rejected(self):
+        with pytest.raises(InputError, match="at least two sample points"):
+            quadrature_from_samples([0.0], [1.0])
+
 
 class TestLoadCsv:
     def test_explicit_weights(self, tmp_path):
@@ -205,3 +233,20 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            ("x,value\n\n , \n", "no data rows"),
+            ("x,weight,value\n0,1\n", "expected 3 columns"),
+            ("x,value\n0,1,2\n", "expected 2 columns"),
+            ("x,value\n0,1\ninf,2\n", "non-finite x values"),
+        ],
+        ids=["empty", "blank-rows", "short-row", "long-row", "infinite-x"],
+    )
+    def test_malformed_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            load_csv(path)

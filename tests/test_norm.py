@@ -11,6 +11,7 @@ from orlicz import (
     DiscreteMeasure,
     DomainError,
     NormStatus,
+    NumericError,
     SampledFunction,
     YoungFunction,
     char_norm_closed_form,
@@ -226,6 +227,13 @@ class TestLuxemburgNorm:
             res = luxemburg_norm(YoungFunction.log_bump(2, 4), f, mu)
             assert res.bracket_lo <= res.value <= res.bracket_hi
             assert res.residual <= 1e-10
+
+    def test_stall_raises_with_bracket(self):
+        # the bracket collapses to adjacent doubles with the residual at
+        # 1.1e-16, above a tol of 1e-17
+        mu, f = atoms([1, 2, 4], [1, 1, 1])
+        with pytest.raises(NumericError, match=r"stalled: bracket \[4\.18.*> tol 1e-17"):
+            luxemburg_norm(YoungFunction.log_bump(2, 3), f, mu, tol=1e-17)
 
     def test_modular_at_norm_is_one(self):
         mu, f = atoms([3, 1, 2], [0.5, 1.0, 2.0])

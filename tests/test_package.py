@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -30,6 +32,61 @@ MODULE_ONLY = {
     "measure": ["check_aligned"],
     "limits": ["ThresholdEntry", "TruncationEntry", "convergence_rows"],
 }
+
+
+# Every optional parameter of a public callable, so that an option is added
+# or removed only together with this table.  The census covers each function
+# in orlicz.__all__, each public method of a class there, and the constructor
+# of each dataclass there.  The six options each have a caller that sets them:
+# the CLI's --q, --shift and --tol, and luxemburg_norm's pruning cut, which
+# passes inverse tol=1e-3.
+OPTIONS = {
+    "YoungFunction": ("q", "shift"),
+    "YoungFunction.log_bump": ("shift",),
+    "YoungFunction.inverse": ("tol",),
+    "luxemburg_norm": ("tol",),
+    "limit_sweep": ("tol",),
+}
+# Field defaults of the records the library builds and returns; no caller
+# constructs these, so their defaults are not options.
+RECORD_DEFAULTS = {
+    "NormResult": ("pruned_mass", "pruned_bound"),
+    "BoundCheck": ("vacuous",),
+}
+
+
+def optional_parameters():
+    found = {}
+
+    def record(name, fn):
+        params = inspect.signature(fn).parameters.values()
+        optional = tuple(p.name for p in params if p.default is not p.empty)
+        if optional:
+            found[name] = optional
+
+    for name in orlicz.__all__:
+        obj = getattr(orlicz, name)
+        if inspect.isfunction(obj):
+            record(name, obj)
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                record(name, obj)
+            for attr, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    record(f"{name}.{attr}", member)
+    return found
+
+
+def test_optional_parameters_are_pinned():
+    assert optional_parameters() == {**OPTIONS, **RECORD_DEFAULTS}
+    assert sum(len(names) for names in OPTIONS.values()) == 6
+
+
+def test_young_function_is_not_callable():
+    # A(t) has one spelling, A.value(t)
+    assert not callable(orlicz.YoungFunction.power(2))
 
 
 def test_all_holds_the_public_names_once():

@@ -12,12 +12,13 @@ from orlicz import (
     E,
     DomainError,
     InputError,
+    NumericError,
     YoungFunction,
     check_young,
     compare,
     default_grid,
 )
-from orlicz.young import _root
+from orlicz.young import AxiomCheck, _root
 
 # Frozen ahead of implementation from 50-digit arithmetic.
 EVAL_LOGBUMP_P2_Q3_T2 = 9.059699961077427  # 4 * ln(e+1)^3
@@ -196,6 +197,17 @@ class TestInverse:
         with pytest.raises(DomainError):
             YoungFunction.power(2).inverse(-1.0)
 
+    def test_precision_limit_raises(self):
+        # at q = 1e13 one ULP of t near 1 moves log A by about 1e-3, so the
+        # bracket collapses with the log-residual above the 1e-6 guard
+        with pytest.raises(NumericError, match=r"did not converge: log-residual .* \(bracket \["):
+            YoungFunction.log_bump(1, 1e13).inverse(2.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            YoungFunction.power(2).inverse(4.0, tol=tol)
+
     @pytest.mark.parametrize(
         "A",
         [
@@ -311,7 +323,34 @@ class TestQMonotonicityAtKnee:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+class LogDomainStub:
+    """Duck-typed stand-in for YoungFunction: A(0) = 0 and log A = log_a."""
+
+    def __init__(self, log_a):
+        self.log_value = log_a
+
+    def value(self, t):
+        return 0.0 if t == 0.0 else math.exp(self.log_value(t))
+
+
 class TestCheckYoung:
+    def test_concave_reports_first_violations(self):
+        # sqrt: increasing, but midpoint-concave and sublinear
+        report = check_young(LogDomainStub(lambda t: 0.5 * math.log(t)), [1.0, 2.0, 4.0])
+        assert report.zero_at_zero.passed and report.strictly_increasing.passed
+        assert (report.midpoint_convex.passed, report.midpoint_convex.violation_t) == (False, 1.5)
+        assert (report.superlinear.passed, report.superlinear.violation_t) == (False, 2.0)
+        assert not report.all_passed
+
+    def test_plateau_reports_first_nonincrease(self):
+        # t^2 capped at t = 2: the first grid point past the cap breaks increase
+        report = check_young(
+            LogDomainStub(lambda t: 2.0 * math.log(min(t, 2.0))), [1.0, 2.0, 3.0, 4.0]
+        )
+        assert report.strictly_increasing == AxiomCheck("strictly_increasing", False, 3.0)
+        assert report.midpoint_convex.passed
+        assert report.superlinear.violation_t == 3.0
+
     def test_log_bump_passes(self):
         assert check_young(YoungFunction.log_bump(1, 1), default_grid()).all_passed
 
