@@ -22,11 +22,11 @@ when it underflows; f_i = 0 gives 0.  In an evaluation where max|f|/lam
 overflows, log(shift + |f_i|/lam) is taken as
 logaddexp(log|f_i| - log lam, log shift).
 
-Pruning shrinks the work before the root search: it drops the atoms too
-small to move the modular anywhere in the bracket, atoms with f_i = 0
-among them, and charges their exact bound to the tolerance; at large q it
-keeps only the atoms near ess sup |f|, the pointwise domination behind the
-paper's upper bound.
+Pruning shrinks the work before the root search: one index pass takes the
+atoms that can move the modular anywhere in the bracket; the dropped ones,
+atoms with f_i = 0 among them, are charged to the tolerance by a bound
+rounded up past the error of its sums.  At large q only the atoms near ess
+sup |f| are kept: the pointwise domination behind the paper's upper bound.
 
 With at least _NEWTON_MIN_ATOMS kept atoms the loop takes Newton
 proposals (_solve).  By the delta substitution the slope
@@ -72,13 +72,13 @@ class NormStatus(Enum):
 class NormResult:
     """Computed norm with its final bracket and a certified residual.
 
-    residual bounds |modular(value) - 1| from above: it is the residual of
-    the modular over the atoms the solver kept plus pruned_bound, the most
-    the dropped atoms (total weight pruned_mass, atoms with f_i = 0
-    included) can add anywhere in the bracket.  Both pruning fields are 0.0
-    when no atom was dropped.  The residual is meaningful only for FINITE
-    status; it meets the requested tolerance whenever that tolerance sits
-    above the modular's evaluation noise floor (about q * 1e-16 relative).
+    residual bounds |modular(value) - 1| from above: the residual of the
+    modular over the kept atoms plus pruned_bound, the most the dropped
+    atoms (total weight pruned_mass, atoms with f_i = 0 included) can add
+    anywhere in the bracket; luxemburg_norm says how both are formed, and
+    both are 0.0 when no atom was dropped.  The residual is meaningful
+    only for FINITE status, where it meets the requested tolerance whenever
+    that tolerance sits above the evaluation noise floor (q * 1e-16 relative).
     """
 
     value: float
@@ -184,18 +184,22 @@ def luxemburg_norm(
     (the inverse to a loose 1e-3, since the bound is recomputed exactly),
     atoms with f_i = 0 among them: for every lam >= lam_lo they add at most
 
-        pruned_bound = pruned_mass * A(cut / lam_lo),   about tol/4,
+        pruned_bound = pruned_mass * (1 + 4 N u) * A(cut / lam_lo),   about tol/4,
 
-    where pruned_mass is their total weight.  The atom attaining M always
-    survives, since cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for
-    the kept atoms too.  The root loop, bisecting or on large inputs taking
-    Newton proposals (module docstring), drives the kept modular to within
+    where pruned_mass is their total weight, unrounded: the total mass less
+    the kept mass, or, when more than half the mass is kept and that would
+    cancel, the dropped weights summed directly.  A sum of N terms >= 0 errs
+    by at most (N - 1) u relative (u = 2^-53) and the difference by at most
+    3 (N - 1) u + u, so pruned_bound, taken from pruned_mass rounded up by
+    4 N u, stays a bound.  The atom attaining M always survives, since
+    cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for the kept atoms
+    too.  The root loop (module docstring) drives the kept modular to within
     tol - pruned_bound of 1, so the full modular meets |modular(lam) - 1| <=
     tol; it falls back to the relative bracket-width criterion only when
     double precision is exhausted first, and raises NumericError when that
-    leaves the residual above tol.  iterations counts the evaluations of
-    the kept modular, each over every kept atom; the inverses behind the
-    bracket and the cut are not counted.
+    leaves the residual above tol.  iterations counts the evaluations of the
+    kept modular, each over every kept atom; the inverses behind the bracket
+    and the cut are not counted.
     """
     check_aligned(f, mu)
     if not tol > 0.0:
@@ -210,18 +214,24 @@ def luxemburg_norm(
     mass = mu.total_mass
     lo = big / A.inverse(1.0 / float(weights[top]))
     hi = big / A.inverse(1.0 / mass)
-    if lo > hi:  # identical in exact arithmetic when the measure is one atom
+    if lo > hi:  # equal for one atom; inverse (to 1e-12) swaps a mass ULPs above w
         lo, hi = hi, lo
 
     cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
     keep = absf > cut
     pruned_mass = pruned_bound = 0.0
-    if not keep.all():  # copy only when something is dropped
-        pruned_mass = float(np.sum(weights, where=~keep))
+    if not keep.all():  # index and copy only when something is dropped
+        kept = np.flatnonzero(keep)
+        absf, weights = absf[kept], weights[kept]
+        kept_mass = float(weights.sum())
+        if kept_mass <= 0.5 * mass:  # at least mass/2 is dropped: no cancellation
+            pruned_mass = mass - kept_mass
+        else:
+            pruned_mass = float(np.sum(mu.weights, where=~keep))
         if cut > 0.0:  # else only atoms with f_i = 0 were dropped, and they add 0
-            pruned_bound = pruned_mass * math.exp(A.log_value(cut / lo))
+            rounded_up = pruned_mass * (1.0 + len(keep) * 2.0**-51)  # times 1 + 4 N u
+            pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
-        absf, weights = absf[keep], weights[keep]
 
     lam, h, lo, hi, evaluations = _solve(A, absf, weights, lo, hi, tol - pruned_bound)
     residual = abs(h) + pruned_bound

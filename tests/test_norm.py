@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from contextlib import contextmanager
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -235,6 +237,50 @@ class TestLuxemburgNorm:
         with pytest.raises(NumericError, match=r"stalled: bracket \[4\.18.*> tol 1e-17"):
             luxemburg_norm(YoungFunction.log_bump(2, 3), f, mu, tol=1e-17)
 
+    def test_swapped_closed_form_ends(self):
+        # the total mass is one ULP above the top weight and the inverse holds
+        # to 1e-12 only, so the closed-form lo comes out above hi and the two
+        # are swapped; the exact norm is w0 + w1/2
+        w = [0.9336002244460524, 2.220446049250313e-16]
+        mu, f = atoms([1.0, 0.5], w)
+        A = YoungFunction.power(1)
+        assert 1.0 / A.inverse(1.0 / w[0]) > 1.0 / A.inverse(1.0 / mu.total_mass)
+        res = luxemburg_norm(A, f, mu)
+        assert res.status is NormStatus.FINITE and res.residual <= 1e-10
+        assert abs(res.value - (w[0] + 0.5 * w[1])) <= 1e-10
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1e5])
+    def test_sign_invariance(self, q):
+        # the norm sees |f| only: f, -f and f with random sign flips give
+        # the same result bit for bit (repr tells -0.0 from 0.0)
+        mu, f = lognormal_instance(seed=3, n=1000)
+        values = f.values.copy()
+        values[::7], values[3::7] = 0.0, -0.0
+        signs = np.random.default_rng(13).choice([-1.0, 1.0], len(values))
+        A = YoungFunction.log_bump(2.0, q)
+        results = {
+            repr(astuple(luxemburg_norm(A, SampledFunction(s * values), mu)))
+            for s in (1.0, -1.0, signs)
+        }
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_top_weight_from_first_atom_attaining_max(self, monkeypatch, sign):
+        # +M and -M both attain ess sup |f|: lo = M / A^{-1}(1/w) takes w
+        # from the first of them
+        mu, f = atoms([0.5, -2.0 * sign, 2.0 * sign, 1.0], [0.1, 0.2, 0.6, 0.1])
+        calls = []
+        inverse = YoungFunction.inverse
+
+        def recording(A, y, **kwargs):
+            calls.append(y)
+            return inverse(A, y, **kwargs)
+
+        monkeypatch.setattr(YoungFunction, "inverse", recording)
+        res = luxemburg_norm(B11, f, mu)
+        assert calls[0] == 1.0 / 0.2
+        assert res.status is NormStatus.FINITE and res.residual <= 1e-10
+
     def test_modular_at_norm_is_one(self):
         mu, f = atoms([3, 1, 2], [0.5, 1.0, 2.0])
         res = luxemburg_norm(B11, f, mu, tol=1e-12)
@@ -330,6 +376,17 @@ def counted_norm(monkeypatch, A, f, mu, tol):
     return res, [size for size, _, _ in kernels]
 
 
+def check_pruned_mass(A, f, mu, res, kept):
+    """pruned_mass is the weight of the dropped atoms, the len(f) - kept
+    smallest |f_i|, to 1e-12, and pruned_bound bounds what they add at every
+    lam in the final bracket."""
+    dropped = np.argsort(np.abs(f.values))[: len(f) - kept]
+    exact = math.fsum(mu.weights[dropped])
+    assert res.pruned_mass == pytest.approx(exact, rel=1e-12, abs=0.0)
+    top_dropped = float(np.abs(f.values[dropped]).max())
+    assert exact * A.value(top_dropped / res.bracket_lo) <= res.pruned_bound
+
+
 class TestPruning:
     """luxemburg_norm solves on the atoms above a certified cut; the full
     modular, dropped atoms included, still meets tol."""
@@ -411,6 +468,57 @@ class TestPruning:
             float(padded_weights[dropped].sum()), rel=1e-12, abs=0.0
         )
         assert res.pruned_mass >= float(zero_weights.sum()) * (1.0 - 1e-12)
+
+    def test_pruned_mass_by_subtraction(self, monkeypatch):
+        # one atom of 10^4 is kept, so pruned_mass is the total mass less the
+        # kept mass: at least half the total remains and nothing cancels
+        mu, f = lognormal_instance(seed=4)
+        A = YoungFunction.log_bump(2.0, 1e5)
+        res, [kept] = counted_norm(monkeypatch, A, f, mu, PRUNE_TOL)
+        assert kept == 1
+        top = int(np.argmax(np.abs(f.values)))
+        assert res.pruned_mass == mu.total_mass - float(mu.weights[top])
+        check_pruned_mass(A, f, mu, res, kept)
+
+    @pytest.mark.parametrize("share", [0.9, 1.0 - 1e-9])
+    def test_pruned_mass_by_direct_sum(self, monkeypatch, share):
+        # one atom holds more than half the mass, so the total less the kept
+        # mass would cancel: the dropped 1e-30-sized atoms are summed directly
+        rng = np.random.default_rng(9)
+        small = rng.uniform(0.1, 1.0, 1000)
+        values = np.concatenate([[1.0], 1e-30 * small])
+        weights = np.concatenate([[share], small * (1.0 - share) / small.sum()])
+        mu, f = atoms(values, weights)
+        A = YoungFunction.log_bump(2.0, 1.0)
+        res, [kept] = counted_norm(monkeypatch, A, f, mu, PRUNE_TOL)
+        assert kept == 1
+        check_pruned_mass(A, f, mu, res, kept)
+
+    @pytest.mark.parametrize("q", [1.0, 1e5])
+    def test_allocation(self, q):
+        # tracemalloc sees numpy's buffers.  With nothing pruned (q = 1) the
+        # solve needs |f| (8 B/atom), the mask (1 B), the kernel's log weights
+        # (8 B) and its two block buffers; an index array or gather of all N
+        # atoms would exceed that.  With one atom kept (q = 1e5) only |f| and
+        # the mask are N-sized.
+        n = 100_000
+        mu, f = lognormal_instance(seed=3, n=n)
+        A = YoungFunction.log_bump(2.0, q)
+        luxemburg_norm(A, f, mu)  # first-call allocations are not the solve's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = luxemburg_norm(A, f, mu)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        if q == 1.0:
+            assert res.pruned_mass == 0.0
+            bound = 17 * n + 2 * 8 * min(n, norm_module._BLOCK)
+        else:
+            assert res.pruned_mass > 0.0
+            bound = 9 * n
+        assert peak <= bound + 16 * 1024, peak / n
 
     def test_cut_underflow_drops_only_zero_atoms(self):
         # lo * A^{-1}(tol / (4s)) underflows to 0: every dropped atom has
