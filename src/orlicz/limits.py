@@ -22,7 +22,6 @@ from .norm import DEFAULT_TOL, luxemburg_norm, char_norm_closed_form, modular, p
 from .young import E0, E, YoungFunction, _validate_grid
 
 __all__ = [
-    "BoundCheck",
     "ConvergenceReport",
     "LiminfBoundRecord",
     "DeltaRelationRecord",
@@ -48,31 +47,30 @@ LIMINF_MARGIN = 1e-3
 
 _WEAK_SLACK = 1e-12  # relative slack when testing weak decrease (gaps, modulars)
 
-# Relative slack of upper_bound_threshold's norm_ok.  Each norm is solved to
-# DEFAULT_TOL, so it lies within about DEFAULT_TOL / p relative of the exact
-# one (|modular - 1| <= DEFAULT_TOL and d log modular / d log lam <= -p);
-# the slack must exceed that.
-_THRESHOLD_RTOL = 1e-9
 
+def _solved_rtol(p: float) -> float:
+    """Relative slack for comparing norms solved to DEFAULT_TOL at power p.
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    lhs: float
-    rhs: float
-    passed: bool
-    vacuous: bool = False
+    Each such norm lies within about DEFAULT_TOL / p relative of the exact
+    one, since |modular - 1| <= DEFAULT_TOL and d log modular / d log lam
+    <= -p; a pair of them lies within twice that of each other.
+    """
+    return 2.0 * DEFAULT_TOL / p
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Norms along an exponent schedule with gaps to the reference sup."""
+    """Norms along an exponent schedule with gaps to the reference sup.
+
+    liminf_floor holds limit_sweep's floor verdict for each schedule entry,
+    and is empty for classical_p_sweep.
+    """
 
     schedule: tuple[float, ...]
     norms: tuple[float, ...]
     reference: float
     gaps: tuple[float, ...]
-    bound_checks: tuple[tuple[BoundCheck, ...], ...]
+    liminf_floor: tuple[bool, ...]
     passed: bool
 
 
@@ -91,17 +89,11 @@ def _gaps_weakly_decreasing(gaps: list[float]) -> bool:
     )
 
 
-def _finish_report(schedule, norms, reference, checks) -> ConvergenceReport:
+def _finish_report(schedule, norms, reference, liminf_floor=()) -> ConvergenceReport:
     gaps = [abs(n - reference) for n in norms]
-    ok = all(c.passed for row in checks for c in row)
-    passed = ok and gaps[-1] <= gaps[0] and _gaps_weakly_decreasing(gaps)
+    passed = all(liminf_floor) and gaps[-1] <= gaps[0] and _gaps_weakly_decreasing(gaps)
     return ConvergenceReport(
-        tuple(schedule),
-        tuple(norms),
-        reference,
-        tuple(gaps),
-        tuple(tuple(row) for row in checks),
-        passed,
+        tuple(schedule), tuple(norms), reference, tuple(gaps), tuple(liminf_floor), passed
     )
 
 
@@ -114,14 +106,14 @@ def limit_sweep(
 ) -> ConvergenceReport:
     """Norms under the shift-(e-1) log-bump family along a q schedule.
 
-    Each entry carries a liminf_floor check: once q >= 1e4 the norm must be
-    at least (1 - 1e-3) times the reference sup (vacuous below that).
-    The report passes when all checks hold, the last gap does not exceed
-    the first, and gaps decrease weakly over the final half.
+    Each entry carries a liminf_floor verdict: once q >= 1e4 the norm must
+    be at least (1 - 1e-3) times the reference sup (vacuously True below
+    that).  The report passes when every verdict holds, the last gap does
+    not exceed the first, and gaps decrease weakly over the final half.
     """
     qs = _validate_grid(q_schedule, "q_schedule", min_len=3)
     reference = _nonzero_sup(f, mu)
-    norms, checks = [], []
+    norms = []
     for q in qs:
         A = YoungFunction.log_bump(p, q)
         try:
@@ -129,12 +121,9 @@ def limit_sweep(
         except NumericError as exc:
             raise NumericError(f"norm solver failed at q={q}: {exc}") from exc
         norms.append(value)
-        floor = (1.0 - LIMINF_MARGIN) * reference
-        if q >= LIMINF_Q_MIN:
-            checks.append([BoundCheck("liminf_floor", value, floor, value >= floor)])
-        else:
-            checks.append([BoundCheck("liminf_floor", value, floor, True, vacuous=True)])
-    return _finish_report(qs, norms, reference, checks)
+    floor = (1.0 - LIMINF_MARGIN) * reference
+    liminf_floor = [q < LIMINF_Q_MIN or n >= floor for q, n in zip(qs, norms)]
+    return _finish_report(qs, norms, reference, liminf_floor)
 
 
 def classical_p_sweep(f: SampledFunction, mu: DiscreteMeasure, p_schedule) -> ConvergenceReport:
@@ -143,9 +132,7 @@ def classical_p_sweep(f: SampledFunction, mu: DiscreteMeasure, p_schedule) -> Co
     if any(p < 1.0 for p in ps):
         raise InputError("p_schedule entries must be >= 1")
     reference = _nonzero_sup(f, mu)
-    norms = [p_norm(f, mu, p) for p in ps]
-    checks = [[] for _ in ps]
-    return _finish_report(ps, norms, reference, checks)
+    return _finish_report(ps, [p_norm(f, mu, p) for p in ps], reference)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -249,7 +236,7 @@ class ThresholdRecord:
 
     q_star is the first schedule entry whose modular at lam is <= 1; past
     it every norm must stay below lam.  norm_ok tests value <= lam * (1 +
-    _THRESHOLD_RTOL), a relative slack, so the verdict does not depend on
+    _solved_rtol(p)), a relative slack, so the verdict does not depend on
     the scale of f.
     domination_ok checks the paper's domination step on the recorded data:
     every |f_i|/lam is below 1, where log(e0 + t) <= 1, so from q_star on
@@ -286,7 +273,7 @@ def upper_bound_threshold(
             entries.append(ThresholdEntry(q, mv, None, None))
         else:
             value = luxemburg_norm(A, f, mu).value
-            entries.append(ThresholdEntry(q, mv, value, value <= lam * (1.0 + _THRESHOLD_RTOL)))
+            entries.append(ThresholdEntry(q, mv, value, value <= lam * (1.0 + _solved_rtol(p))))
 
     tail = [e.modular_value for e in entries if e.norm_value is not None]
     domination_ok = all(mv <= tail[0] * (1.0 + _WEAK_SLACK) for mv in tail[1:])
@@ -315,10 +302,8 @@ class TruncationReport:
     1e-3 relative to that target, and the untruncated terminal norm must
     dominate every truncated one because min(|f|, N) <= |f| pointwise.
     Every norm is solved to DEFAULT_TOL.  dominated_ok tests terminal_norm
-    <= f_terminal_norm * (1 + 2 DEFAULT_TOL / p), a relative slack, so the
-    verdict does not depend on the scale of f: each norm is within about
-    DEFAULT_TOL / p relative of the exact one, because |modular - 1| <=
-    DEFAULT_TOL and d log modular / d log lam <= -p.
+    <= f_terminal_norm * (1 + _solved_rtol(p)), a relative slack, so the
+    verdict does not depend on the scale of f.
     """
 
     f_terminal_norm: float
@@ -342,7 +327,7 @@ def truncation_sweep(
         terminal = sweep.norms[-1]
         target = min(top, N)
         converged = abs(terminal - target) <= 1e-3 * target
-        dominated_ok = terminal <= f_terminal * (1.0 + 2.0 * DEFAULT_TOL / p)
+        dominated_ok = terminal <= f_terminal * (1.0 + _solved_rtol(p))
         entries.append(TruncationEntry(N, target, terminal, converged, dominated_ok, sweep))
 
     passed = all(e.converged and e.dominated_ok for e in entries)
@@ -377,7 +362,8 @@ class EquivalenceRecord:
     t > 0, and c_e_in_e0 = log(e0)^(-q/p) the smallest with B_e(t) <=
     B_e0(c t) for all t > 0 (equivalence_norm_check proves both).  The norm
     ratio norm_e0 / norm_e must lie in [1/C, C] with C = band, the larger of
-    the two.  Because the shift-e integrand dominates pointwise, norm_e >=
+    the two, widened by the relative slack _solved_rtol(p) of two solved
+    norms.  Because the shift-e integrand dominates pointwise, norm_e >=
     norm_e0 always; the tight band is therefore [1/c_e_in_e0, c_e0_in_e].
     """
 
@@ -421,7 +407,7 @@ def equivalence_norm_check(
     c_e_in_e0 = _exp_or_inf(log_c) * (1.0 + rounding) if q > 0.0 else 1.0
     band = max(c_e0_in_e, c_e_in_e0)
     ratio = norm_e0 / norm_e
-    slack = 1e-12
+    slack = _solved_rtol(p)
     passed = (1.0 - slack) / band <= ratio <= band * (1.0 + slack)
     return EquivalenceRecord(
         p, q, norm_e0, norm_e, ratio, c_e0_in_e, c_e_in_e0, band, passed
@@ -431,17 +417,16 @@ def equivalence_norm_check(
 def convergence_rows(report: ConvergenceReport, key: str = "q") -> list[dict]:
     """Flatten a ConvergenceReport to one dict per schedule entry.
 
-    Columns: the exponent under `key`, norm, gap, one column per named
-    bound check (1 passed / 0 failed, vacuous passes count as 1), then a
-    row-level pass flag.
+    Columns: the exponent under `key`, norm, gap, the liminf_floor verdict
+    when the report has one (1 passed / 0 failed, vacuous passes count as
+    1), then a row-level pass flag.
     """
+    verdicts = report.liminf_floor or (True,) * len(report.schedule)
     rows = []
-    for x, n, g, checks in zip(
-        report.schedule, report.norms, report.gaps, report.bound_checks
-    ):
+    for x, n, g, ok in zip(report.schedule, report.norms, report.gaps, verdicts):
         row = {key: x, "norm": n, "gap": g}
-        for chk in checks:
-            row[chk.name] = 1 if chk.passed else 0
-        row["pass"] = 1 if all(c.passed for c in checks) else 0
+        if report.liminf_floor:
+            row["liminf_floor"] = int(ok)
+        row["pass"] = int(ok)
         rows.append(row)
     return rows

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,9 +119,13 @@ def truncate(f: SampledFunction, N: float) -> SampledFunction:
 
 
 def indicator(mu: DiscreteMeasure, subset) -> SampledFunction:
-    """Characteristic function of a set of atom indices."""
+    """Characteristic function of a set of atom indices (integers)."""
     values = np.zeros(len(mu))
-    idx = np.asarray(list(subset), dtype=int)
+    idx = list(subset)
+    for i in idx:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise InputError(f"atom indices must be integers, got {i!r}")
+    idx = np.asarray(idx, dtype=int)
     if idx.size:
         if idx.min() < 0 or idx.max() >= len(mu):
             raise InputError(f"atom index out of range for {len(mu)} atoms")
@@ -185,7 +190,7 @@ def load_csv(path) -> tuple[DiscreteMeasure, SampledFunction]:
         return mu, SampledFunction(cols[:, 2])
     if header == ["x", "value"]:
         cols = np.asarray([parse(r, 2) for r in body], dtype=float)
-        if not math.isfinite(cols[:, 0].sum()):
+        if not np.isfinite(cols[:, 0]).all():
             raise InputError(f"{path}: non-finite x values")
         return quadrature_from_samples(cols[:, 0], cols[:, 1])
     raise InputError(

@@ -70,15 +70,16 @@ class NormStatus(Enum):
 
 @dataclass(frozen=True)
 class NormResult:
-    """Computed norm with its final bracket and a certified residual.
+    """Computed norm with its final bracket and residual.
 
-    residual bounds |modular(value) - 1| from above: the residual of the
-    modular over the kept atoms plus pruned_bound, the most the dropped
-    atoms (total weight pruned_mass, atoms with f_i = 0 included) can add
-    anywhere in the bracket; luxemburg_norm says how both are formed, and
-    both are 0.0 when no atom was dropped.  The residual is meaningful
+    residual is the computed |modular(value) - 1| over the kept atoms plus
+    pruned_bound, the most the dropped atoms (total weight pruned_mass,
+    atoms with f_i = 0 included) can add anywhere in the bracket;
+    luxemburg_norm says how both are formed, and both are 0.0 when no atom
+    was dropped.  The exact |modular(value) - 1| can exceed it by the
+    kernel's evaluation error, about q * 1e-16.  The residual is meaningful
     only for FINITE status, where it meets the requested tolerance whenever
-    that tolerance sits above the evaluation noise floor (q * 1e-16 relative).
+    that tolerance sits above that evaluation noise floor.
     """
 
     value: float
@@ -195,9 +196,12 @@ def luxemburg_norm(
     cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for the kept atoms
     too.  The root loop (module docstring) drives the kept modular to within
     tol - pruned_bound of 1, so the full modular meets |modular(lam) - 1| <=
-    tol; it falls back to the relative bracket-width criterion only when
-    double precision is exhausted first, and raises NumericError when that
-    leaves the residual above tol.  iterations counts the evaluations of the
+    tol, unless the bracket collapses to adjacent doubles first.  A bracket
+    no wider than tol * lam then comes back FINITE with its residual, which
+    exceeds tol where the evaluation noise (about q * 1e-16) does; for one
+    atom the closed-form ends coincide.  NumericError is raised only for a
+    residual above tol from a bracket still wider than tol * lam, which
+    takes a tol near one ULP.  iterations counts the evaluations of the
     kept modular, each over every kept atom; the inverses behind the bracket
     and the cut are not counted.
     """

@@ -26,7 +26,8 @@ from orlicz import (
 )
 import orlicz.limits as limits_module
 from orlicz.limits import convergence_rows
-from conftest import atoms, random_instance
+from orlicz.norm import DEFAULT_TOL
+from conftest import atoms, modular_longdouble, random_instance
 
 # Frozen from 50-digit roots of (1/l) * ln(e0 + 1/l)^q = 2.
 SWEEP_NORMS_HALF = {
@@ -116,6 +117,27 @@ class TestLimitSweep:
         mu, _ = atoms([1, 2, 3], [1, 1, 1])
         with pytest.raises(InputError, match="3 atoms"):
             check(SampledFunction([0.0, 0.0]), mu)
+
+    def test_failing_floor(self):
+        # the sup sits on an atom of weight 1e-300, so at q = 1e4 and 1e5
+        # the norm is still far below it and the floor fails there
+        mu, f = atoms([1, 0.5], [1e-300, 1])
+        rep = limit_sweep(f, mu, 1.0, [10.0, 1e3, 1e4, 1e5])
+        rows = convergence_rows(rep, key="q")
+        assert [r["liminf_floor"] for r in rows] == [1, 1, 0, 0]
+        assert [r["pass"] for r in rows] == [1, 1, 0, 0]
+        assert rep.passed is False
+
+    def test_floor_verdicts(self):
+        # vacuously True below LIMINF_Q_MIN; classical sweeps carry none
+        mu, f = atoms([1, 0.5], [1e-300, 1])
+        rep = limit_sweep(f, mu, 1.0, [10.0, 1e3, 1e4, 1e5])
+        assert rep.liminf_floor == (True, True, False, False)
+        classical = classical_p_sweep(f, mu, [1.0, 2.0, 4.0])
+        assert classical.liminf_floor == ()
+        rows = convergence_rows(classical, key="p")
+        assert list(rows[0]) == ["p", "norm", "gap", "pass"]
+        assert all(r["pass"] == 1 for r in rows)
 
     def test_rows_serialization(self):
         mu, f = atoms([1], [0.5])
@@ -391,6 +413,27 @@ class TestEquivalence:
                 assert abs(rec.c_e_in_e0 / c - 1) <= 1e-12
                 assert margin(mpmath.mpf(rec.c_e_in_e0)) >= 0
             assert margin(c) >= 0
+
+    def test_band_within_solve_accuracy(self):
+        # 300 seeded draws, values over 15 decades and weights over 6.  At
+        # q = 1e-9 the band is only about 5e-10 / p wide, and the two solves'
+        # error can put the ratio just past its edge: a fixed 1e-12 slack
+        # failed 21 draws there, the first being draw 8 (25 atoms, p =
+        # 1.1695), though both norms meet tol in long double.  Each draw takes
+        # four p, one for each q in (1e-9, 1e-6, 1e-3, 0.1), and uses the first.
+        rng = np.random.default_rng(0)
+        q = 1e-9
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            values = 10.0 ** rng.uniform(-3, 12) * rng.lognormal(size=n)
+            weights = rng.uniform(0.1, 1, n) * 10.0 ** rng.uniform(-3, 3)
+            p = float(rng.uniform(1, 3, 4)[0])
+            mu, f = atoms(values, weights)
+            rec = equivalence_norm_check(f, mu, p, q)
+            for shift, value in ((E0, rec.norm_e0), (E, rec.norm_e)):
+                A = YoungFunction.log_bump(p, q, shift=shift)
+                assert abs(modular_longdouble(A, values, weights, value) - 1) <= DEFAULT_TOL
+            assert rec.passed
 
     def test_random_instance_in_band(self):
         rng = np.random.default_rng(41)

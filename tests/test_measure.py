@@ -164,6 +164,21 @@ class TestIndicator:
         with pytest.raises(InputError):
             indicator(mu, {3})
 
+    def test_integer_array(self):
+        mu = DiscreteMeasure([0, 1, 2], [1, 1, 1])
+        assert indicator(mu, np.array([2, 0])).values.tolist() == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "subset", [[True, False, True], [1.5], [1, 2.0], [np.True_]],
+        ids=["bools", "fraction", "integral-float", "numpy-bool"],
+    )
+    def test_non_integer_entries_rejected(self, subset):
+        # bool is an int subclass and an int cast truncates 1.5 to 1, so
+        # either would mark atoms nobody named
+        mu = DiscreteMeasure([0, 1, 2], [1, 1, 1])
+        with pytest.raises(InputError, match="atom indices must be integers"):
+            indicator(mu, subset)
+
     def test_level_set_recovers_subset_mass(self):
         mu = DiscreteMeasure([0, 1, 2, 3], [0.1, 0.2, 0.3, 0.4])
         chi = indicator(mu, {1, 3})
@@ -233,6 +248,14 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_csv(tmp_path / "nope.csv")
+
+    def test_huge_finite_x(self, tmp_path):
+        # the x values sum past the double range, yet both are finite and
+        # so is their span
+        path = tmp_path / "huge.csv"
+        path.write_text("x,value\n1e308,1\n1.7e308,2\n")
+        mu, f = load_csv(path)
+        assert mu.weights.tolist() == [0.5 * (1.7e308 - 1e308)] * 2
 
     @pytest.mark.parametrize(
         "text, message",

@@ -237,6 +237,17 @@ class TestLuxemburgNorm:
         with pytest.raises(NumericError, match=r"stalled: bracket \[4\.18.*> tol 1e-17"):
             luxemburg_norm(YoungFunction.log_bump(2, 3), f, mu, tol=1e-17)
 
+    @pytest.mark.parametrize("q", [1e7, 1e8, 1e9, 1e10])
+    def test_collapsed_bracket_returns_residual_above_tol(self, q):
+        # one atom: the closed-form ends coincide, so there is no bracket to
+        # narrow, and the evaluation noise (about q * 1e-16) leaves the
+        # residual above tol; the result is FINITE, not a NumericError
+        mu, f = atoms([1], [0.5])
+        res = luxemburg_norm(YoungFunction.log_bump(1, q), f, mu)
+        assert res.status is NormStatus.FINITE
+        assert res.residual > 1e-10
+        assert res.bracket_hi - res.bracket_lo <= 1e-10 * res.value
+
     def test_swapped_closed_form_ends(self):
         # the total mass is one ULP above the top weight and the inverse holds
         # to 1e-12 only, so the closed-form lo comes out above hi and the two
