@@ -15,12 +15,18 @@ once per call, and an evaluation at lam sums
 
     exp(c_i + p*(log M - log lam) + q*log(log(shift + |f_i|/lam)))
 
-over blocks of 2^16 atoms in one reused buffer (two for the slope), with
-no allocation and no weight dot product.  Each term is w_i A(|f_i|/lam) computed whole in the log
-domain, so a term is inf only when w_i A(|f_i|/lam) itself overflows, and 0
-when it underflows; f_i = 0 gives 0.  In an evaluation where max|f|/lam
-overflows, log(shift + |f_i|/lam) is taken as
-logaddexp(log|f_i| - log lam, log shift).
+over blocks of 2^16 atoms, with no allocation and no weight dot product.
+With N atoms, min(CPUs, N // _SHARD_ATOMS) threads share the blocks.  Below
+two, one loop runs them in one reused buffer (two for the slope).  From two
+on, the main thread and a thread pool each take the next block not yet
+taken, into buffers of their own, in parallel since numpy's ufuncs release
+the GIL; a thread on a busy CPU takes fewer.  Either way the block sums are
+added in block order, so the thread count changes no result.
+
+Each term is w_i A(|f_i|/lam) computed whole in the log domain, so a term
+is inf only when w_i A(|f_i|/lam) itself overflows, and 0 when it
+underflows; f_i = 0 gives 0.  In an evaluation where max|f|/lam overflows,
+log(shift + |f_i|/lam) is taken as logaddexp(log|f_i| - log lam, log shift).
 
 Pruning shrinks the work before the root search: one index pass takes the
 atoms that can move the modular anywhere in the bracket; the dropped ones,
@@ -38,6 +44,8 @@ starts at lo, where the modular is >= 1.  Smaller solves bisect.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -60,6 +68,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 _BLOCK = 1 << 16  # atoms per kernel block; its 512 KB buffer stays in cache
+_SHARD_ATOMS = 1 << 16  # fewest atoms per thread for which a thread pays
 _NEWTON_MIN_ATOMS = 1 << 15  # kept atoms from which the solver takes Newton steps
 
 
@@ -92,65 +101,152 @@ class NormResult:
     pruned_bound: float = 0.0
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 @contextmanager
-def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, slope: bool = False):
-    """Yield lam -> sum_i w_i A(a_i / lam) over fixed atoms a_i >= 0, w_i > 0,
-    evaluated as the module docstring describes.  With slope it returns
-    (S, D) instead: S that sum, bit for bit, and D = sum_i term_i * (p + q r_i),
-    each term times its d log A / d log t, from the same block buffers.  The
-    floating-point error state is entered once, for every call."""
+def _modular_kernel(
+    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, slope: bool = False
+):
+    """Yield lam -> sum_i w_i A(a_i / lam) over fixed atoms a_i >= 0, w_i > 0
+    with max a_i = big, evaluated as the module docstring describes.  With
+    slope it returns (S, D) instead: S that sum, bit for bit, and
+    D = sum_i term_i * (p + q r_i), each term times its d log A / d log t,
+    from the same block buffers.
+
+    Below two threads one loop runs every block, and the floating-point
+    error state is entered once, for every call.  From two on, this thread
+    and a thread pool that lives as long as the kernel share the blocks;
+    each pool task enters the error state itself, since numpy keeps it per
+    thread.  Set-up and evaluations run the same per-block code on either
+    path, and the block sums are added in block order, so every result is
+    bit-identical to the serial one."""
     p, q = A.p, A.q
-    big = float(a.max())
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
-    buf = np.empty(min(len(a), _BLOCK))
-    ell_buf = np.empty(len(buf)) if slope and q > 0.0 else None
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        c = np.log(w)
+    two_buffers = slope and q > 0.0  # the slope sum keeps r_i apart from the term
+    c = np.empty(len(a))
+
+    atom_blocks = [
+        (w[i : i + _BLOCK], a[i : i + _BLOCK], c[i : i + _BLOCK]) for i in range(0, len(a), _BLOCK)
+    ]
+
+    def thread_blocks():
+        """Every block as (w_blk, a_blk, c_blk, t, term), with t and term
+        views of new buffers for one thread; term is t itself unless the
+        slope needs both."""
+        buf = np.empty(min(len(a), _BLOCK))
+        ell = np.empty(len(buf)) if two_buffers else buf
         blocks = []
-        for start in range(0, len(a), _BLOCK):
-            a_blk, c_blk = a[start : start + _BLOCK], c[start : start + _BLOCK]
-            t = buf[: len(a_blk)]
-            np.log(a_blk, out=t)
-            t -= log_big
-            t *= p
-            c_blk += t
-            blocks.append((a_blk, c_blk, t))
+        for atoms in atom_blocks:
+            t = buf[: len(atoms[1])]
+            blocks.append((*atoms, t, ell[: len(t)] if two_buffers else t))
+        return blocks
 
-        def modular_at(lam: float):
-            offset = p * (log_big - math.log(lam))
-            total = weighted = 0.0
-            for a_blk, c_blk, t in blocks:
-                if q == 0.0:
-                    term = np.add(c_blk, offset, out=t)
-                else:
-                    # with slope the term goes to the second buffer and t ends
-                    # as r = t / ((shift + t) L), L = log(shift + t)
-                    term = t if ell_buf is None else ell_buf[: len(a_blk)]
-                    if big / lam == math.inf:  # log(shift + a_i/lam) from logs
-                        np.log(a_blk, out=t)
-                        t -= math.log(lam)
-                        np.logaddexp(t, log_shift, out=term)
-                        if slope:
-                            np.exp(np.subtract(t, term, out=t), out=t)
-                    else:
-                        np.divide(a_blk, lam, out=t)
-                        np.add(t, A.shift, out=term)
-                        if slope:
-                            t /= term
-                        np.log(term, out=term)
-                    if slope:
-                        t /= term  # r, while L is still in a buffer
-                    np.log(term, out=term)
-                    term *= q
-                    term += c_blk
-                    term += offset
-                total += float(np.add.reduce(np.exp(term, out=term)))
-                if ell_buf is not None:
-                    weighted += float(np.add.reduce(np.multiply(t, term, out=t)))
-            return (total, p * total + q * weighted) if slope else total
+    def set_up(block):
+        """c_i = log w_i + p*(log a_i - log M) over the block."""
+        w_blk, a_blk, c_blk, t, _ = block
+        np.log(w_blk, out=c_blk)
+        np.log(a_blk, out=t)
+        t -= log_big
+        t *= p
+        c_blk += t
 
-        yield modular_at
+    def block_sums(block, offset: float, lam: float):
+        """(sum of the block's terms, sum of its terms times r_i)."""
+        _, a_blk, c_blk, t, term = block
+        if q == 0.0:
+            term = np.add(c_blk, offset, out=t)
+        else:
+            # with slope the term goes to the second buffer and t ends as
+            # r = t / ((shift + t) L), L = log(shift + t)
+            if big / lam == math.inf:  # log(shift + a_i/lam) from logs
+                np.log(a_blk, out=t)
+                t -= math.log(lam)
+                np.logaddexp(t, log_shift, out=term)
+                if slope:
+                    np.exp(np.subtract(t, term, out=t), out=t)
+            else:
+                np.divide(a_blk, lam, out=t)
+                np.add(t, A.shift, out=term)
+                if slope:
+                    t /= term
+                np.log(term, out=term)
+            if slope:
+                t /= term  # r, while L is still in a buffer
+            np.log(term, out=term)
+            term *= q
+            term += c_blk
+            term += offset
+        total = float(np.add.reduce(np.exp(term, out=term)))
+        return total, float(np.add.reduce(np.multiply(t, term, out=t))) if two_buffers else 0.0
+
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        workers = len(a) // _SHARD_ATOMS
+        if workers > 1:
+            workers = min(workers, _cpus())
+        if workers < 2:
+            blocks = thread_blocks()
+            for block in blocks:
+                set_up(block)
+
+            def modular_at(lam: float):
+                offset = p * (log_big - math.log(lam))
+                total = weighted = 0.0
+                for block in blocks:
+                    s, d = block_sums(block, offset, lam)
+                    total += s
+                    weighted += d
+                return (total, p * total + q * weighted) if slope else total
+
+            yield modular_at
+            return
+
+        # imported here: at module level it would cost every orlicz process ~7 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        views = [thread_blocks() for _ in range(workers)]
+        lock = threading.Lock()
+
+        def each_block(task, *args):
+            """[task(block, *args) for every block], in block order.  This
+            thread and the pool's each take the next block not yet taken, so
+            a thread slowed by a busy CPU takes fewer."""
+            results = [None] * len(views[0])
+            untaken = iter(range(len(results)))
+
+            def work(blocks):
+                with np.errstate(over="ignore", under="ignore", divide="ignore"):
+                    while True:
+                        with lock:
+                            k = next(untaken, None)
+                        if k is None:
+                            return
+                        results[k] = task(blocks[k], *args)
+
+            futures = [pool.submit(work, blocks) for blocks in views[1:]]
+            work(views[0])
+            for future in futures:
+                future.result()
+            return results
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            each_block(set_up)
+
+            def modular_at(lam: float):
+                offset = p * (log_big - math.log(lam))
+                total = weighted = 0.0
+                for s, d in each_block(block_sums, offset, lam):  # in block order
+                    total += s
+                    weighted += d
+                return (total, p * total + q * weighted) if slope else total
+
+            yield modular_at
 
 
 def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: float) -> float:
@@ -163,7 +259,8 @@ def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: floa
     check_aligned(f, mu)
     if not lam > 0.0:
         raise DomainError(f"modular requires lam > 0, got {lam}")
-    with _modular_kernel(A, np.abs(f.values), mu.weights) as modular_at:
+    absf = np.abs(f.values)
+    with _modular_kernel(A, absf, mu.weights, float(absf.max())) as modular_at:
         return modular_at(lam)
 
 
@@ -237,7 +334,7 @@ def luxemburg_norm(
             pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
 
-    lam, h, lo, hi, evaluations = _solve(A, absf, weights, lo, hi, tol - pruned_bound)
+    lam, h, lo, hi, evaluations = _solve(A, absf, weights, big, lo, hi, tol - pruned_bound)
     residual = abs(h) + pruned_bound
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(
@@ -249,19 +346,21 @@ def luxemburg_norm(
     )
 
 
-def _solve(A: YoungFunction, a: np.ndarray, w: np.ndarray, lo: float, hi: float, tol: float):
+def _solve(
+    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, lo: float, hi: float, tol: float
+):
     """Root of sum_i w_i A(a_i / lam) = 1 for atoms a_i > 0 in the certified
     bracket [lo, hi], to |residual| <= tol, as luxemburg_norm describes.
 
     Returns (lam, 1 - modular(lam), lo, hi, evaluations) with the final
     bracket, from young._root.  From _NEWTON_MIN_ATOMS atoms on the kernel
     also returns the slope sum D, and the loop starts at lo, where the
-    modular S is >= 1, and takes Newton steps in u = log(M / lam), M = max a:
+    modular S is >= 1, and takes Newton steps in u = log(M / lam), M = big = max a:
     F(u) = log S increases with F' = D / S, so a step multiplies lam by
     exp(log S * S / D).  Below, the loop bisects.
     """
     newton = len(a) >= _NEWTON_MIN_ATOMS
-    with _modular_kernel(A, a, w, slope=newton) as modular_at:
+    with _modular_kernel(A, a, w, big, slope=newton) as modular_at:
         if newton:
             last = ()  # (lam, S, D) of the latest evaluation
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orlicz
 from orlicz import InputError, YoungFunction, luxemburg_norm, limit_sweep
 from orlicz.cli import _build_parser, build_preset, main, parse_schedule
 from orlicz.limits import convergence_rows
@@ -294,3 +299,15 @@ class TestDeclarations:
         assert main(["--help"]) == 0
         usage = capsys.readouterr().out.splitlines()[0]
         assert usage == f"usage: orlicz [-h] {{{','.join(COMMAND_IDS)}}} ..."
+
+
+def test_import_leaves_out_thread_pool():
+    # concurrent.futures costs a fresh interpreter about 7 ms to import, once
+    # per orlicz process; only a kernel on two threads or more imports it
+    src = str(Path(orlicz.__file__).resolve().parents[1])
+    code = "import sys, orlicz.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

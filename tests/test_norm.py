@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import astuple
@@ -174,9 +176,9 @@ class TestModularKernel:
         # r = t / ((shift + t) log(shift + t)), against long double
         A = YoungFunction.log_bump(p, q)
         a, w = np.array(values), np.array(weights)
-        with norm_module._modular_kernel(A, a, w) as plain:
+        with norm_module._modular_kernel(A, a, w, float(a.max())) as plain:
             expected_S = plain(lam)
-        with norm_module._modular_kernel(A, a, w, slope=True) as sloped:
+        with norm_module._modular_kernel(A, a, w, float(a.max()), slope=True) as sloped:
             S, D = sloped(lam)
         assert S == expected_S
         ld = np.longdouble
@@ -196,6 +198,111 @@ class TestModularKernel:
         for A in (YoungFunction.power(2), YoungFunction.log_bump(1, 3)):
             terms = weights * A.value_array(values / 0.8)
             assert modular(A, f, mu, 0.8) == pytest.approx(math.fsum(terms), rel=1e-13)
+
+
+def hexed(result):
+    """A NormResult's fields, floats as hex, so that -0.0 and every last bit count."""
+    return [x.hex() if isinstance(x, float) else x for x in astuple(result)]
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """The tasks the kernel submits to its thread pools."""
+    import concurrent.futures
+
+    tasks = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return tasks
+
+
+def mixed_instance(seed, n):
+    """n lognormal atoms of mixed sign, every fifth value 0, weights U[0.1, 1] / n."""
+    rng = np.random.default_rng(seed)
+    values = rng.lognormal(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    values[::5] = 0.0
+    return atoms(values, rng.uniform(0.1, 1.0, n) / n)
+
+
+class TestShardedKernel:
+    """From two threads on, the kernel shares its blocks with a thread pool;
+    every number stays bit-identical to the serial loop."""
+
+    N = 3 * 2**16 + 7  # four blocks, the last partial
+    LAMS = [1e-307, 1e-3, 0.7, 5.0, 1e300]  # max|f|/lam overflows at 1e-307
+
+    def results(self, mu, f):
+        out = []
+        for q in (0.0, 1.0, 10.0):
+            A = YoungFunction.log_bump(2.0, q)
+            out.append(hexed(luxemburg_norm(A, f, mu)))
+            out.append([modular(A, f, mu, lam).hex() for lam in self.LAMS])
+            a = np.abs(f.values)
+            with norm_module._modular_kernel(A, a, mu.weights, float(a.max()), True) as sloped:
+                out.append([x.hex() for lam in self.LAMS[1:4] for x in sloped(lam)])
+        return out
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_shards_change_no_number(self, monkeypatch, pool_tasks, cpus):
+        # cpus = 8 gives more threads than the input has blocks
+        mu, f = mixed_instance(seed=11, n=self.N)
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
+        serial = self.results(mu, f)
+        assert not pool_tasks
+        monkeypatch.setattr(norm_module, "_cpus", lambda: cpus)
+        monkeypatch.setattr(norm_module, "_SHARD_ATOMS", 1)
+        assert self.results(mu, f) == serial
+        assert bool(pool_tasks) == (cpus > 1)
+
+    def test_worker_error_state(self, monkeypatch, pool_tasks):
+        # numpy keeps the error state per thread: the worker's log(0) in the
+        # set-up and its exp overflow and underflow warn unless the task
+        # enters the kernel's state itself (the suite turns warnings into errors)
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
+        rng = np.random.default_rng(4)
+        n = 2 * norm_module._SHARD_ATOMS
+        values = rng.uniform(0.5, 1.0, n)
+        values[::7] = 0.0
+        mu, f = atoms(values, rng.uniform(0.1, 1.0, n) / n)
+        A = YoungFunction.log_bump(2, 1)
+        assert modular(A, f, mu, 1e-300) == math.inf
+        assert modular(A, f, mu, 1e300) == 0.0
+        assert pool_tasks
+
+    def test_concurrent_solves(self, monkeypatch, pool_tasks):
+        # two Python threads solve different inputs at once, each kernel
+        # with a pool of its own, and match their serial results
+        n = 2 * norm_module._SHARD_ATOMS + 5
+        inputs = [mixed_instance(seed, n) for seed in (1, 2)]
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
+        expected = [self.results(mu, f) for mu, f in inputs]
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
+        got = [None, None]
+
+        def solve(k):
+            try:
+                got[k] = self.results(*inputs[k])
+            except Exception as exc:  # reported by the assertion below
+                got[k] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
+        assert pool_tasks
 
 
 class TestLuxemburgNorm:
@@ -365,10 +472,10 @@ def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
     kernel = norm_module._modular_kernel
 
     @contextmanager
-    def recording_kernel(A, a, w, slope=False):
+    def recording_kernel(A, a, w, big, slope=False):
         lams = []
         kernels.append((np.size(a), slope, lams))
-        with kernel(A, a, w, slope) as modular_at:
+        with kernel(A, a, w, big, slope) as modular_at:
 
             def recorded(lam):
                 lams.append(lam)
@@ -531,6 +638,27 @@ class TestPruning:
             bound = 9 * n
         assert peak <= bound + 16 * 1024, peak / n
 
+    def test_allocation_sharded(self, monkeypatch, pool_tasks):
+        # on two threads each owns two block buffers; nothing else
+        # grows beyond the serial solve's |f|, mask and log weights
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
+        n = 4 * norm_module._SHARD_ATOMS
+        mu, f = lognormal_instance(seed=3, n=n)
+        A = YoungFunction.log_bump(2.0, 1.0)
+        luxemburg_norm(A, f, mu)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = luxemburg_norm(A, f, mu)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert res.pruned_mass == 0.0 and pool_tasks
+        # the pool's thread, futures and per-thread block views add about
+        # 20 KB of Python objects to the serial solve's 16 KB allowance
+        bound = 17 * n + 2 * 2 * 8 * norm_module._BLOCK
+        assert peak <= bound + 32 * 1024, peak / n
+
     def test_cut_underflow_drops_only_zero_atoms(self):
         # lo * A^{-1}(tol / (4s)) underflows to 0: every dropped atom has
         # f_i = 0, so the dropped atoms add nothing and pruned_bound is 0
@@ -637,8 +765,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def flat_kernel(A, a, w, slope=False):
-            with kernel(A, a, w, slope) as modular_at:
+        def flat_kernel(A, a, w, big, slope=False):
+            with kernel(A, a, w, big, slope) as modular_at:
 
                 def flat(lam):
                     m, d = modular_at(lam)
@@ -661,8 +789,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def overflowing_kernel(A, a, w, slope=False):
-            with kernel(A, a, w, slope) as modular_at:
+        def overflowing_kernel(A, a, w, big, slope=False):
+            with kernel(A, a, w, big, slope) as modular_at:
                 calls = []
 
                 def overflowing(lam):
