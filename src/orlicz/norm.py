@@ -9,30 +9,31 @@ accuracy is relative and the bracket can span hundreds of decades.  The
 package's one root loop, young._root, narrows that bracket: it bisects, or
 on large inputs evaluates Newton proposals that land inside the bracket.
 
-One kernel evaluates the modular for both modular() and the solver.  With
-M = max |f|, it builds the log weights c_i = log w_i + p*(log|f_i| - log M)
-once per call, and an evaluation at lam sums
+One per-block map (_BlockMap) runs every pass over the atoms, in blocks of
+2^16.  A call over N atoms decides once on min(CPUs, N // _SHARD_ATOMS)
+threads; evaluations use as many as their kept atoms allow.  Below two a
+plain loop runs the blocks; from two on, the call's one thread pool and its
+own thread each take the next block not yet taken, in parallel since
+numpy's ufuncs release the GIL.  Results come back in block order and sums
+are added in it, so the thread count changes no result.
+
+The set-up takes |f| block by block into a thread's buffer: a first pass
+for each block's first argmax (the top atom is the first block maximum
+attaining M = max |f|), a second, after the pruning cut, over only the
+blocks whose maximum is above it, gathering the kept atoms in block order.
+At large q only the atoms near ess sup |f| are kept: the pointwise
+domination behind the paper's upper bound.
+
+One kernel evaluates the modular for both modular() and the solver.  It
+builds c_i = log w_i + p*(log|f_i| - log M) once per call, and an
+evaluation at lam sums
 
     exp(c_i + p*(log M - log lam) + q*log(log(shift + |f_i|/lam)))
 
-over blocks of 2^16 atoms, with no allocation and no weight dot product.
-With N atoms, min(CPUs, N // _SHARD_ATOMS) threads share the blocks.  Below
-two, one loop runs them in one reused buffer (two for the slope).  From two
-on, the main thread and a thread pool each take the next block not yet
-taken, into buffers of their own, in parallel since numpy's ufuncs release
-the GIL; a thread on a busy CPU takes fewer.  Either way the block sums are
-added in block order, so the thread count changes no result.
-
-Each term is w_i A(|f_i|/lam) computed whole in the log domain, so a term
-is inf only when w_i A(|f_i|/lam) itself overflows, and 0 when it
-underflows; f_i = 0 gives 0.  In an evaluation where max|f|/lam overflows,
+over the blocks with no allocation.  Each term is w_i A(|f_i|/lam) computed
+whole in the log domain, so it is inf only when that itself overflows, and
+0 when it underflows; f_i = 0 gives 0.  Where max|f|/lam overflows,
 log(shift + |f_i|/lam) is taken as logaddexp(log|f_i| - log lam, log shift).
-
-Pruning shrinks the work before the root search: one index pass takes the
-atoms that can move the modular anywhere in the bracket; the dropped ones,
-atoms with f_i = 0 among them, are charged to the tolerance by a bound
-rounded up past the error of its sums.  At large q only the atoms near ess
-sup |f| are kept: the pointwise domination behind the paper's upper bound.
 
 With at least _NEWTON_MIN_ATOMS kept atoms the loop takes Newton
 proposals (_solve).  By the delta substitution the slope
@@ -46,9 +47,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -109,70 +111,132 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+class _BlockMap:
+    """One call's blocks and threads over n atoms (module docstring); each
+    thread owns a buffer and a mask of one block.  close() ends the pool."""
+
+    def __init__(self, n: int):
+        threads = n // _SHARD_ATOMS
+        if threads > 1:
+            threads = min(threads, _cpus())
+        size = min(n, _BLOCK)
+        self.buffers = [(np.empty(size), np.empty(size, bool)) for _ in range(max(threads, 1))]
+        self.lock = threading.Lock()
+        if threads > 1:  # imported here: at module level it would cost every orlicz process ~7 ms
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.pool = ThreadPoolExecutor(threads - 1)
+
+    def close(self):
+        if len(self.buffers) > 1:
+            self.pool.shutdown()
+
+    def views(self, *arrays: np.ndarray) -> list:
+        """Per thread, for as many as n // _SHARD_ATOMS and the blocks allow: each
+        block's slices of the arrays of n atoms, then the thread's buffer and mask."""
+        n, starts = len(arrays[0]), range(0, len(arrays[0]), _BLOCK)
+        return [
+            [(*[x[i : i + _BLOCK] for x in arrays], buf[: n - i], mask[: n - i]) for i in starts]
+            for buf, mask in self.buffers[: max(1, min(n // _SHARD_ATOMS, len(starts)))]
+        ]
+
+    def bind(self, task, views: list):
+        """A function of no arguments giving task(view) for each view in
+        views[0], in block order; views[k] holds the same blocks with thread
+        k's buffers.  On one thread it is map(), run as the caller iterates;
+        on more, each thread takes the next block not yet taken, before return."""
+        if len(views) < 2:
+            return partial(map, task, views[0])
+
+        def run():
+            results = [None] * len(views[0])
+            untaken = iter(range(len(results)))
+
+            def work(blocks):
+                # numpy keeps the error state per thread: enter the kernel's
+                with np.errstate(over="ignore", under="ignore", divide="ignore"):
+                    while True:
+                        with self.lock:
+                            k = next(untaken, None)
+                        if k is None:
+                            return
+                        results[k] = task(blocks[k])
+
+            futures = [self.pool.submit(work, blocks) for blocks in views[1:]]
+            work(views[0])
+            for future in futures:
+                future.result()
+            return results
+
+        return run
+
+
+def _ess_sup(blocks: _BlockMap, views: list) -> tuple[int, float, list]:
+    """(top, M, block maxima) over views of (f, w): M = max |f|, top its first atom, as
+    np.argmax(np.abs(f)) finds it: the first argmax of the first block attaining M."""
+
+    def block_top(view):
+        f_blk, _, buf, _ = view
+        k = int(np.argmax(np.abs(f_blk, out=buf)))
+        return k, float(buf[k])
+
+    tops = list(blocks.bind(block_top, views)())
+    maxima = [m for _, m in tops]
+    b = maxima.index(max(maxima))
+    return b * _BLOCK + tops[b][0], maxima[b], maxima
+
+
 @contextmanager
 def _modular_kernel(
-    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, slope: bool = False
+    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, blocks: _BlockMap, slope=False
 ):
-    """Yield lam -> sum_i w_i A(a_i / lam) over fixed atoms a_i >= 0, w_i > 0
-    with max a_i = big, evaluated as the module docstring describes.  With
+    """Yield lam -> sum_i w_i A(|a_i| / lam) over fixed atoms a_i, w_i > 0
+    with max |a_i| = big, evaluated as the module docstring describes.  With
     slope it returns (S, D) instead: S that sum, bit for bit, and
     D = sum_i term_i * (p + q r_i), each term times its d log A / d log t,
-    from the same block buffers.
-
-    Below two threads one loop runs every block, and the floating-point
-    error state is entered once, for every call.  From two on, this thread
-    and a thread pool that lives as long as the kernel share the blocks;
-    each pool task enters the error state itself, since numpy keeps it per
-    thread.  Set-up and evaluations run the same per-block code on either
-    path, and the block sums are added in block order, so every result is
-    bit-identical to the serial one."""
+    from the same block buffers."""
     p, q = A.p, A.q
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
     two_buffers = slope and q > 0.0  # the slope sum keeps r_i apart from the term
     c = np.empty(len(a))
 
-    atom_blocks = [
-        (w[i : i + _BLOCK], a[i : i + _BLOCK], c[i : i + _BLOCK]) for i in range(0, len(a), _BLOCK)
-    ]
+    def thread_views(views):
+        """(w_blk, a_blk, c_blk, t, term): term is t unless the slope needs both."""
+        ell = np.empty(len(views[0][3])) if two_buffers else None
+        return [(*v[:4], v[3] if ell is None else ell[: len(v[3])]) for v in views]
 
-    def thread_blocks():
-        """Every block as (w_blk, a_blk, c_blk, t, term), with t and term
-        views of new buffers for one thread; term is t itself unless the
-        slope needs both."""
-        buf = np.empty(min(len(a), _BLOCK))
-        ell = np.empty(len(buf)) if two_buffers else buf
-        blocks = []
-        for atoms in atom_blocks:
-            t = buf[: len(atoms[1])]
-            blocks.append((*atoms, t, ell[: len(t)] if two_buffers else t))
-        return blocks
-
-    def set_up(block):
-        """c_i = log w_i + p*(log a_i - log M) over the block."""
-        w_blk, a_blk, c_blk, t, _ = block
+    def set_up(view):
+        """c_i = log w_i + p*(log|a_i| - log M) over the block, and its least a_i."""
+        w_blk, a_blk, c_blk, t, _ = view
+        least = float(np.minimum.reduce(a_blk))
         np.log(w_blk, out=c_blk)
-        np.log(a_blk, out=t)
+        np.log(np.abs(a_blk, out=t) if least < 0.0 else a_blk, out=t)
         t -= log_big
         t *= p
         c_blk += t
+        return least
 
-    def block_sums(block, offset: float, lam: float):
-        """(sum of the block's terms, sum of its terms times r_i)."""
-        _, a_blk, c_blk, t, term = block
+    offset = lam = 0.0  # the point of the evaluation under way, set by modular_at
+
+    def block_sums(view):
+        """(sum of the block's terms, sum of its terms times r_i) at lam."""
+        _, a_blk, c_blk, t, term = view
         if q == 0.0:
             term = np.add(c_blk, offset, out=t)
         else:
             # with slope the term goes to the second buffer and t ends as
             # r = t / ((shift + t) L), L = log(shift + t)
-            if big / lam == math.inf:  # log(shift + a_i/lam) from logs
-                np.log(a_blk, out=t)
+            if big / lam == math.inf:  # log(shift + |a_i|/lam) from logs
+                np.log(np.abs(a_blk, out=t), out=t)
                 t -= math.log(lam)
                 np.logaddexp(t, log_shift, out=term)
                 if slope:
                     np.exp(np.subtract(t, term, out=t), out=t)
             else:
                 np.divide(a_blk, lam, out=t)
+                if signed:
+                    np.abs(t, out=t)
                 np.add(t, A.shift, out=term)
                 if slope:
                     t /= term
@@ -186,67 +250,21 @@ def _modular_kernel(
         total = float(np.add.reduce(np.exp(term, out=term)))
         return total, float(np.add.reduce(np.multiply(t, term, out=t))) if two_buffers else 0.0
 
+    views = [thread_views(v) for v in blocks.views(w, a, c)]
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        workers = len(a) // _SHARD_ATOMS
-        if workers > 1:
-            workers = min(workers, _cpus())
-        if workers < 2:
-            blocks = thread_blocks()
-            for block in blocks:
-                set_up(block)
+        signed = min(blocks.bind(set_up, views)()) < 0.0  # then each quotient needs its abs
+        each_block = blocks.bind(block_sums, views)
 
-            def modular_at(lam: float):
-                offset = p * (log_big - math.log(lam))
-                total = weighted = 0.0
-                for block in blocks:
-                    s, d = block_sums(block, offset, lam)
-                    total += s
-                    weighted += d
-                return (total, p * total + q * weighted) if slope else total
+        def modular_at(at: float):
+            nonlocal offset, lam
+            lam, offset = at, p * (log_big - math.log(at))
+            total = weighted = 0.0
+            for s, d in each_block():  # in block order
+                total += s
+                weighted += d
+            return (total, p * total + q * weighted) if slope else total
 
-            yield modular_at
-            return
-
-        # imported here: at module level it would cost every orlicz process ~7 ms
-        from concurrent.futures import ThreadPoolExecutor
-
-        views = [thread_blocks() for _ in range(workers)]
-        lock = threading.Lock()
-
-        def each_block(task, *args):
-            """[task(block, *args) for every block], in block order.  This
-            thread and the pool's each take the next block not yet taken, so
-            a thread slowed by a busy CPU takes fewer."""
-            results = [None] * len(views[0])
-            untaken = iter(range(len(results)))
-
-            def work(blocks):
-                with np.errstate(over="ignore", under="ignore", divide="ignore"):
-                    while True:
-                        with lock:
-                            k = next(untaken, None)
-                        if k is None:
-                            return
-                        results[k] = task(blocks[k], *args)
-
-            futures = [pool.submit(work, blocks) for blocks in views[1:]]
-            work(views[0])
-            for future in futures:
-                future.result()
-            return results
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            each_block(set_up)
-
-            def modular_at(lam: float):
-                offset = p * (log_big - math.log(lam))
-                total = weighted = 0.0
-                for s, d in each_block(block_sums, offset, lam):  # in block order
-                    total += s
-                    weighted += d
-                return (total, p * total + q * weighted) if slope else total
-
-            yield modular_at
+        yield modular_at
 
 
 def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: float) -> float:
@@ -259,9 +277,10 @@ def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: floa
     check_aligned(f, mu)
     if not lam > 0.0:
         raise DomainError(f"modular requires lam > 0, got {lam}")
-    absf = np.abs(f.values)
-    with _modular_kernel(A, absf, mu.weights, float(absf.max())) as modular_at:
-        return modular_at(lam)
+    with closing(_BlockMap(len(f))) as blocks:
+        _, big, _ = _ess_sup(blocks, blocks.views(f.values, mu.weights))
+        with _modular_kernel(A, f.values, mu.weights, big, blocks) as modular_at:
+            return modular_at(lam)
 
 
 def luxemburg_norm(
@@ -305,36 +324,51 @@ def luxemburg_norm(
     check_aligned(f, mu)
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    absf = np.abs(f.values)
-    weights = mu.weights
-    top = int(np.argmax(absf))
-    big = float(absf[top])
-    if big == 0.0:
-        return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
+    with closing(_BlockMap(len(f))) as blocks:
+        views = blocks.views(f.values, mu.weights)
+        top, big, maxima = _ess_sup(blocks, views)
+        if big == 0.0:
+            return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
 
-    mass = mu.total_mass
-    lo = big / A.inverse(1.0 / float(weights[top]))
-    hi = big / A.inverse(1.0 / mass)
-    if lo > hi:  # equal for one atom; inverse (to 1e-12) swaps a mass ULPs above w
-        lo, hi = hi, lo
+        mass = mu.total_mass
+        lo = big / A.inverse(1.0 / float(mu.weights[top]))
+        hi = big / A.inverse(1.0 / mass)
+        if lo > hi:  # equal for one atom; inverse (to 1e-12) swaps a mass ULPs above w
+            lo, hi = hi, lo
 
-    cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
-    keep = absf > cut
-    pruned_mass = pruned_bound = 0.0
-    if not keep.all():  # index and copy only when something is dropped
-        kept = np.flatnonzero(keep)
-        absf, weights = absf[kept], weights[kept]
-        kept_mass = float(weights.sum())
-        if kept_mass <= 0.5 * mass:  # at least mass/2 is dropped: no cancellation
-            pruned_mass = mass - kept_mass
-        else:
-            pruned_mass = float(np.sum(mu.weights, where=~keep))
-        if cut > 0.0:  # else only atoms with f_i = 0 were dropped, and they add 0
-            rounded_up = pruned_mass * (1.0 + len(keep) * 2.0**-51)  # times 1 + 4 N u
-            pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
-            assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
+        cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
+        values, weights = f.values, mu.weights  # the kernel takes |f_i| per block
 
-    lam, h, lo, hi, evaluations = _solve(A, absf, weights, big, lo, hi, tol - pruned_bound)
+        def kept(view):
+            """Indices in the block of its atoms with |f_i| > cut, None for all of them."""
+            f_blk, _, buf, mask = view
+            np.greater(np.abs(f_blk, out=buf), cut, out=mask)
+            return None if mask.all() else np.flatnonzero(mask)
+
+        pruned_mass = pruned_bound = 0.0
+        visited = [b for b, m in enumerate(maxima) if m > cut]  # blocks with some |f_i| > cut
+        found = list(blocks.bind(kept, [[t[b] for b in visited] for t in views[: len(visited)]])())
+        if len(visited) < len(maxima) or any(k is not None for k in found):  # something dropped
+            found = [
+                np.arange(len(views[0][b][0])) if k is None else k for b, k in zip(visited, found)
+            ]
+            index = np.concatenate([b * _BLOCK + k for b, k in zip(visited, found)])
+            values, weights = np.abs(f.values[index]), mu.weights[index]
+            kept_mass = float(weights.sum())
+            if kept_mass <= 0.5 * mass:  # at least mass/2 is dropped: no cancellation
+                pruned_mass = mass - kept_mass
+            else:
+                dropped = np.ones(len(f), dtype=bool)
+                dropped[index] = False
+                pruned_mass = float(np.sum(mu.weights, where=dropped))
+            if cut > 0.0:  # else only atoms with f_i = 0 were dropped, and they add 0
+                rounded_up = pruned_mass * (1.0 + len(f) * 2.0**-51)  # times 1 + 4 N u
+                pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
+                assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
+
+        newton = len(values) >= _NEWTON_MIN_ATOMS
+        with _modular_kernel(A, values, weights, big, blocks, slope=newton) as modular_at:
+            lam, h, lo, hi, evaluations = _solve(modular_at, newton, lo, hi, tol - pruned_bound)
     residual = abs(h) + pruned_bound
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(
@@ -346,36 +380,32 @@ def luxemburg_norm(
     )
 
 
-def _solve(
-    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, lo: float, hi: float, tol: float
-):
-    """Root of sum_i w_i A(a_i / lam) = 1 for atoms a_i > 0 in the certified
+def _solve(modular_at, newton: bool, lo: float, hi: float, tol: float):
+    """Root of modular_at(lam) = 1, the kept modular, in the certified
     bracket [lo, hi], to |residual| <= tol, as luxemburg_norm describes.
 
     Returns (lam, 1 - modular(lam), lo, hi, evaluations) with the final
-    bracket, from young._root.  From _NEWTON_MIN_ATOMS atoms on the kernel
-    also returns the slope sum D, and the loop starts at lo, where the
-    modular S is >= 1, and takes Newton steps in u = log(M / lam), M = big = max a:
-    F(u) = log S increases with F' = D / S, so a step multiplies lam by
-    exp(log S * S / D).  Below, the loop bisects.
+    bracket, from young._root.  With newton (from _NEWTON_MIN_ATOMS kept
+    atoms on) the kernel also returns the slope sum D, and the loop starts
+    at lo, where the modular S is >= 1, and takes Newton steps in
+    u = log(M / lam): F(u) = log S increases with F' = D / S, so a step
+    multiplies lam by exp(log S * S / D).  Otherwise the loop bisects.
     """
-    newton = len(a) >= _NEWTON_MIN_ATOMS
-    with _modular_kernel(A, a, w, big, slope=newton) as modular_at:
-        if newton:
-            last = ()  # (lam, S, D) of the latest evaluation
+    if newton:
+        last = ()  # (lam, S, D) of the latest evaluation
 
-            def g(lam):
-                nonlocal last
-                last = (lam, *modular_at(lam))
-                return 1.0 - last[1]
+        def g(lam):
+            nonlocal last
+            last = (lam, *modular_at(lam))
+            return 1.0 - last[1]
 
-            def step():
-                lam, m, d = last
-                u = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
-                return lam * math.exp(min(u, 709.0))  # exp raises past 709; _root rejects nan
+        def step():
+            lam, m, d = last
+            u = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
+            return lam * math.exp(min(u, 709.0))  # exp raises past 709; _root rejects nan
 
-            return _root(g, lo, hi, tol, x=lo, step=step)
-        return _root(lambda lam: 1.0 - modular_at(lam), lo, hi, tol)
+        return _root(g, lo, hi, tol, x=lo, step=step)
+    return _root(lambda lam: 1.0 - modular_at(lam), lo, hi, tol)
 
 
 def char_norm_closed_form(A: YoungFunction, m: float) -> float:

@@ -2,7 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import astuple
 
 import mpmath
@@ -114,6 +114,14 @@ def modular_oracle(A, values, weights, lam):
         return true, float(true), S
 
 
+@contextmanager
+def kernel_on(A, a, w, slope=False):
+    """The modular kernel over atoms a, w on a block map of its own."""
+    with closing(norm_module._BlockMap(len(a))) as blocks:
+        with norm_module._modular_kernel(A, a, w, float(np.abs(a).max()), blocks, slope) as kernel:
+            yield kernel
+
+
 class TestModularKernel:
     """modular against a 50-digit oracle, and the kernel's block edges."""
 
@@ -176,9 +184,9 @@ class TestModularKernel:
         # r = t / ((shift + t) log(shift + t)), against long double
         A = YoungFunction.log_bump(p, q)
         a, w = np.array(values), np.array(weights)
-        with norm_module._modular_kernel(A, a, w, float(a.max())) as plain:
+        with kernel_on(A, a, w) as plain:
             expected_S = plain(lam)
-        with norm_module._modular_kernel(A, a, w, float(a.max()), slope=True) as sloped:
+        with kernel_on(A, a, w, slope=True) as sloped:
             S, D = sloped(lam)
         assert S == expected_S
         ld = np.longdouble
@@ -229,6 +237,95 @@ def mixed_instance(seed, n):
     return atoms(values, rng.uniform(0.1, 1.0, n) / n)
 
 
+SET_UP_N = 3 * 2**16 + 7  # four blocks, the last partial
+CUT_AT = [5, 70_000, SET_UP_N - 1]  # atoms set to +-cut in "cut_attained"
+
+
+def set_up_instance(seed=21):
+    """SET_UP_N lognormal atoms of mixed sign, every seventh 0, weights U[0.1, 1] / N."""
+    rng = np.random.default_rng(seed)
+    values = rng.lognormal(0.0, 1.0, SET_UP_N) * rng.choice([-1.0, 1.0], SET_UP_N)
+    values[::7] = 0.0
+    return values, rng.uniform(0.1, 1.0, SET_UP_N) / SET_UP_N
+
+
+def set_up_cut(A, values, weights, tol=norm_module.DEFAULT_TOL):
+    """luxemburg_norm's cut lo * A^{-1}(tol / (4s)), lo from the first atom attaining max |f|."""
+    absf = np.abs(values)
+    top, mass = int(np.argmax(absf)), float(np.sum(weights))
+    lo = min(absf[top] / A.inverse(1.0 / weights[top]), absf[top] / A.inverse(1.0 / mass))
+    return lo * A.inverse(0.25 * tol / mass, tol=1e-3)
+
+
+def _ties_across_blocks():
+    # -M in the second block comes first, +M in the last, partial one: the
+    # top weight is the first one's
+    values, weights = set_up_instance()
+    big = 2.0 * np.abs(values).max()
+    values[[70_000, SET_UP_N - 2]] = -big, big
+    weights[70_000] = 0.5
+    return values, weights, 100.0
+
+
+def _zero_blocks():
+    values, weights = set_up_instance()
+    values[: 2 * 2**16] = 0.0  # the first two blocks are all zero
+    return values, weights, 10.0
+
+
+def _cut_attained():
+    # |f_i| = cut for three atoms, the last one of the partial block among
+    # them: none attains M, so the cut stays, and > drops them
+    values, weights = set_up_instance()
+    cut = set_up_cut(YoungFunction.log_bump(2.0, 100.0), values, weights)
+    values[CUT_AT] = cut, -cut, cut
+    return values, weights, 100.0
+
+
+def _kept_in_one_block():
+    values, weights = set_up_instance()
+    values[150_000] = 100.0 * np.abs(values).max()  # in the third block
+    return values, weights, 1e5
+
+
+def _nothing_pruned():
+    rng = np.random.default_rng(22)
+    values = rng.uniform(0.5, 1.0, SET_UP_N) * rng.choice([-1.0, 1.0], SET_UP_N)
+    return values, rng.uniform(0.1, 1.0, SET_UP_N) / SET_UP_N, 1.0
+
+
+SET_UP_CASES = {
+    "ties_across_blocks": _ties_across_blocks,
+    "zero_blocks": _zero_blocks,
+    "cut_attained": _cut_attained,
+    "kept_in_one_block": _kept_in_one_block,
+    "nothing_pruned": _nothing_pruned,
+    "all_zero": lambda: (np.zeros(SET_UP_N), set_up_instance()[1], 1.0),
+}
+
+
+def kept_atoms(monkeypatch, A, f, mu):
+    """luxemburg_norm; copies of the (a, w) of every kernel built; and the
+    number of blocks of every task bound to the block map."""
+    kernels, runs = [], []
+    kernel, bind = norm_module._modular_kernel, norm_module._BlockMap.bind
+
+    @contextmanager
+    def recording_kernel(A, a, w, big, blocks, slope=False):
+        kernels.append((a.copy(), w.copy()))
+        with kernel(A, a, w, big, blocks, slope) as modular_at:
+            yield modular_at
+
+    def recording_bind(blocks, task, views):
+        runs.append(len(views[0]))
+        return bind(blocks, task, views)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(norm_module, "_modular_kernel", recording_kernel)
+        mp.setattr(norm_module._BlockMap, "bind", recording_bind)
+        return luxemburg_norm(A, f, mu), kernels, runs
+
+
 class TestShardedKernel:
     """From two threads on, the kernel shares its blocks with a thread pool;
     every number stays bit-identical to the serial loop."""
@@ -242,8 +339,7 @@ class TestShardedKernel:
             A = YoungFunction.log_bump(2.0, q)
             out.append(hexed(luxemburg_norm(A, f, mu)))
             out.append([modular(A, f, mu, lam).hex() for lam in self.LAMS])
-            a = np.abs(f.values)
-            with norm_module._modular_kernel(A, a, mu.weights, float(a.max()), True) as sloped:
+            with kernel_on(A, f.values, mu.weights, slope=True) as sloped:
                 out.append([x.hex() for lam in self.LAMS[1:4] for x in sloped(lam)])
         return out
 
@@ -258,6 +354,47 @@ class TestShardedKernel:
         monkeypatch.setattr(norm_module, "_SHARD_ATOMS", 1)
         assert self.results(mu, f) == serial
         assert bool(pool_tasks) == (cpus > 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", sorted(SET_UP_CASES))
+    def test_set_up_changes_no_number(self, monkeypatch, pool_tasks, case, cpus):
+        # the set-up's two passes run on the kernel's blocks and threads: every
+        # result is bit-identical to the serial solve, and the kept atoms are
+        # those of a numpy mask |f| > cut (strictly), gathered in index order
+        values, weights, q = SET_UP_CASES[case]()
+        mu, f = atoms(values, weights)
+        A = YoungFunction.log_bump(2.0, q)
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
+        serial = hexed(luxemburg_norm(A, f, mu)), modular(A, f, mu, 0.7).hex()
+        assert not pool_tasks
+        monkeypatch.setattr(norm_module, "_cpus", lambda: cpus)
+        monkeypatch.setattr(norm_module, "_SHARD_ATOMS", 1)
+        res, kernels, runs = kept_atoms(monkeypatch, A, f, mu)
+        assert (hexed(res), modular(A, f, mu, 0.7).hex()) == serial
+        assert bool(pool_tasks) == (cpus > 1)
+
+        absf = np.abs(values)
+        if not absf.any():
+            assert res.status is NormStatus.ZERO and not kernels
+            return
+        keep = absf > set_up_cut(A, values, weights)
+        [(a, w)] = kernels
+        assert np.array_equal(np.abs(a), absf[keep]) and np.array_equal(w, weights[keep])
+        if case == "cut_attained":
+            assert not keep[CUT_AT].any()
+        if case == "kept_in_one_block":  # the cut visits that block alone
+            assert runs[:2] == [4, 1]
+
+    def test_small_inputs_use_no_pool(self, pool_tasks):
+        # solves of q-ladder (32 atoms) and sweep-100k (1e5 atoms) size run on
+        # the calling thread on any machine: 1e5 atoms make one shard
+        for n in (32, 100_000):
+            mu, f = mixed_instance(seed=n, n=n)
+            for q in (1.0, 100.0, 1e5):
+                A = YoungFunction.log_bump(2.0, q)
+                assert luxemburg_norm(A, f, mu).status is NormStatus.FINITE
+                modular(A, f, mu, 0.7)
+        assert not pool_tasks
 
     def test_worker_error_state(self, monkeypatch, pool_tasks):
         # numpy keeps the error state per thread: the worker's log(0) in the
@@ -472,10 +609,10 @@ def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
     kernel = norm_module._modular_kernel
 
     @contextmanager
-    def recording_kernel(A, a, w, big, slope=False):
+    def recording_kernel(A, a, w, big, blocks, slope=False):
         lams = []
         kernels.append((np.size(a), slope, lams))
-        with kernel(A, a, w, big, slope) as modular_at:
+        with kernel(A, a, w, big, blocks, slope) as modular_at:
 
             def recorded(lam):
                 lams.append(lam)
@@ -612,13 +749,33 @@ class TestPruning:
         assert kept == 1
         check_pruned_mass(A, f, mu, res, kept)
 
+    def test_pruned_mass_by_direct_sum_threaded(self, monkeypatch, pool_tasks):
+        # the same on 2^17 + 1000 atoms, set up on two threads: the kept atom
+        # and the direct sum of the dropped weights match the serial solve
+        rng = np.random.default_rng(10)
+        small = rng.uniform(0.1, 1.0, 2**17 + 1000)
+        values = np.concatenate([1e-30 * small[:70_000], [1.0], 1e-30 * small[70_000:]])
+        weights = np.concatenate([small[:70_000], [0.0], small[70_000:]])
+        weights *= 0.1 / weights.sum()
+        weights[70_000] = 0.9
+        mu, f = atoms(values, weights)
+        A = YoungFunction.log_bump(2.0, 1.0)
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
+        serial = hexed(luxemburg_norm(A, f, mu))
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
+        res, [kept] = counted_norm(monkeypatch, A, f, mu, PRUNE_TOL)
+        assert kept == 1 and pool_tasks
+        assert hexed(res) == serial
+        check_pruned_mass(A, f, mu, res, kept)
+
     @pytest.mark.parametrize("q", [1.0, 1e5])
     def test_allocation(self, q):
-        # tracemalloc sees numpy's buffers.  With nothing pruned (q = 1) the
-        # solve needs |f| (8 B/atom), the mask (1 B), the kernel's log weights
-        # (8 B) and its two block buffers; an index array or gather of all N
-        # atoms would exceed that.  With one atom kept (q = 1e5) only |f| and
-        # the mask are N-sized.
+        # tracemalloc sees numpy's buffers.  The set-up takes |f| block by
+        # block into a buffer and a mask of one block (9 B per block atom),
+        # and the kernel adds a second buffer for the slope: with one atom
+        # kept (q = 1e5) nothing is N-sized, and with nothing pruned (q = 1)
+        # only the kernel's log weights (8 B/atom) are; a whole-array |f|,
+        # mask, index or gather would exceed that
         n = 100_000
         mu, f = lognormal_instance(seed=3, n=n)
         A = YoungFunction.log_bump(2.0, q)
@@ -630,34 +787,36 @@ class TestPruning:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        block = min(n, norm_module._BLOCK)
         if q == 1.0:
             assert res.pruned_mass == 0.0
-            bound = 17 * n + 2 * 8 * min(n, norm_module._BLOCK)
+            bound = 8 * n + 17 * block
         else:
             assert res.pruned_mass > 0.0
-            bound = 9 * n
+            bound = 9 * block
         assert peak <= bound + 16 * 1024, peak / n
 
     def test_allocation_sharded(self, monkeypatch, pool_tasks):
-        # on two threads each owns two block buffers; nothing else
-        # grows beyond the serial solve's |f|, mask and log weights
+        # on two threads each owns the set-up's buffer and mask and, for the
+        # slope, the kernel's second buffer; nothing else grows beyond the
+        # serial solve's log weights, or at q = 1e5 beyond the set-up's buffers
         monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
-        n = 4 * norm_module._SHARD_ATOMS
+        n, block = 4 * norm_module._SHARD_ATOMS, norm_module._BLOCK
         mu, f = lognormal_instance(seed=3, n=n)
-        A = YoungFunction.log_bump(2.0, 1.0)
-        luxemburg_norm(A, f, mu)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            res = luxemburg_norm(A, f, mu)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert res.pruned_mass == 0.0 and pool_tasks
-        # the pool's thread, futures and per-thread block views add about
-        # 20 KB of Python objects to the serial solve's 16 KB allowance
-        bound = 17 * n + 2 * 2 * 8 * norm_module._BLOCK
-        assert peak <= bound + 32 * 1024, peak / n
+        for q, bound in ((1.0, 8 * n + 2 * 17 * block), (1e5, 2 * 9 * block)):
+            A = YoungFunction.log_bump(2.0, q)
+            luxemburg_norm(A, f, mu)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                res = luxemburg_norm(A, f, mu)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert (res.pruned_mass == 0.0) == (q == 1.0) and pool_tasks
+            # the pool's thread, futures and per-thread block views add about
+            # 20 KB of Python objects to the serial solve's 16 KB allowance
+            assert peak <= bound + 32 * 1024, (q, peak / n)
 
     def test_cut_underflow_drops_only_zero_atoms(self):
         # lo * A^{-1}(tol / (4s)) underflows to 0: every dropped atom has
@@ -765,8 +924,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def flat_kernel(A, a, w, big, slope=False):
-            with kernel(A, a, w, big, slope) as modular_at:
+        def flat_kernel(A, a, w, big, blocks, slope=False):
+            with kernel(A, a, w, big, blocks, slope) as modular_at:
 
                 def flat(lam):
                     m, d = modular_at(lam)
@@ -789,8 +948,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def overflowing_kernel(A, a, w, big, slope=False):
-            with kernel(A, a, w, big, slope) as modular_at:
+        def overflowing_kernel(A, a, w, big, blocks, slope=False):
+            with kernel(A, a, w, big, blocks, slope) as modular_at:
                 calls = []
 
                 def overflowing(lam):
