@@ -9,20 +9,20 @@ accuracy is relative and the bracket can span hundreds of decades.  The
 package's one root loop, young._root, narrows that bracket: it bisects, or
 on large inputs evaluates Newton proposals that land inside the bracket.
 
-One per-block map (_BlockMap) runs every pass over the atoms, in blocks of
-2^16.  A call over N atoms decides once on min(CPUs, N // _SHARD_ATOMS)
-threads; evaluations use as many as their kept atoms allow.  Below two a
-plain loop runs the blocks; from two on, the call's one thread pool and its
-own thread each take the next block not yet taken, in parallel since
-numpy's ufuncs release the GIL.  Results come back in block order and sums
-are added in it, so the thread count changes no result.
+Every pass over the atoms runs in blocks of 2^16, on a call's block map
+(_BlockMap) of up to min(CPUs, N // _SHARD_ATOMS) threads.  The set-up's
+memory-bound passes run on the calling thread; the kernel uses as many
+threads as its kept atoms allow.  From two on, the call makes its one
+thread pool, whose threads and the caller each take the next block not yet
+taken, in parallel since numpy's ufuncs release the GIL.  Results come back
+in block order and sums are added in it, so the thread count changes no result.
 
-The set-up takes |f| block by block into a thread's buffer: a first pass
-for each block's first argmax (the top atom is the first block maximum
-attaining M = max |f|), a second, after the pruning cut, over only the
-blocks whose maximum is above it, gathering the kept atoms in block order.
-At large q only the atoms near ess sup |f| are kept: the pointwise
-domination behind the paper's upper bound.
+The set-up takes |f| block by block into the buffer: a first pass for each
+block's first argmax (the top atom is the first block maximum attaining
+M = max |f|), a second, after the pruning cut, over only the blocks whose
+maximum is above it, gathering the kept atoms in block order.  At large q
+only the atoms near ess sup |f| are kept: the pointwise domination behind
+the paper's upper bound.
 
 One kernel evaluates the modular for both modular() and the solver.  It
 builds c_i = log w_i + p*(log|f_i| - log M) once per call, and an
@@ -112,33 +112,20 @@ def _cpus() -> int:
 
 
 class _BlockMap:
-    """One call's blocks and threads over n atoms (module docstring); each
-    thread owns a buffer and a mask of one block.  close() ends the pool."""
+    """One call's blocks and threads over n atoms (module docstring): a buffer
+    of one block for each of up to min(CPUs, n // _SHARD_ATOMS) threads, and
+    the pool, made on the first bind that uses two.  close() ends the pool."""
 
     def __init__(self, n: int):
         threads = n // _SHARD_ATOMS
         if threads > 1:
             threads = min(threads, _cpus())
-        size = min(n, _BLOCK)
-        self.buffers = [(np.empty(size), np.empty(size, bool)) for _ in range(max(threads, 1))]
-        self.lock = threading.Lock()
-        if threads > 1:  # imported here: at module level it would cost every orlicz process ~7 ms
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.pool = ThreadPoolExecutor(threads - 1)
+        self.buffers = [np.empty(min(n, _BLOCK)) for _ in range(max(threads, 1))]
+        self.pool = None
 
     def close(self):
-        if len(self.buffers) > 1:
+        if self.pool is not None:
             self.pool.shutdown()
-
-    def views(self, *arrays: np.ndarray) -> list:
-        """Per thread, for as many as n // _SHARD_ATOMS and the blocks allow: each
-        block's slices of the arrays of n atoms, then the thread's buffer and mask."""
-        n, starts = len(arrays[0]), range(0, len(arrays[0]), _BLOCK)
-        return [
-            [(*[x[i : i + _BLOCK] for x in arrays], buf[: n - i], mask[: n - i]) for i in starts]
-            for buf, mask in self.buffers[: max(1, min(n // _SHARD_ATOMS, len(starts)))]
-        ]
 
     def bind(self, task, views: list):
         """A function of no arguments giving task(view) for each view in
@@ -147,6 +134,12 @@ class _BlockMap:
         on more, each thread takes the next block not yet taken, before return."""
         if len(views) < 2:
             return partial(map, task, views[0])
+        if self.pool is None:
+            # imported here: at module level it would cost every orlicz process ~7 ms
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.pool = ThreadPoolExecutor(len(self.buffers) - 1)
+            self.lock = threading.Lock()
 
         def run():
             results = [None] * len(views[0])
@@ -171,51 +164,56 @@ class _BlockMap:
         return run
 
 
-def _ess_sup(blocks: _BlockMap, views: list) -> tuple[int, float, list]:
-    """(top, M, block maxima) over views of (f, w): M = max |f|, top its first atom, as
-    np.argmax(np.abs(f)) finds it: the first argmax of the first block attaining M."""
-
-    def block_top(view):
-        f_blk, _, buf, _ = view
-        k = int(np.argmax(np.abs(f_blk, out=buf)))
-        return k, float(buf[k])
-
-    tops = list(blocks.bind(block_top, views)())
-    maxima = [m for _, m in tops]
+def _ess_sup(f: np.ndarray, buf: np.ndarray) -> tuple[int, float, list, list]:
+    """(top, M, block maxima of |f|, block minima of f): M = max |f|, top its first
+    atom, as np.argmax(np.abs(f)) finds it: the first argmax of |f| in the first block
+    attaining M, taken in buf, a buffer of one block.  np.argmax would copy a read-only
+    f; the reductions do not."""
+    maxima, minima = [], []
+    for i in range(0, len(f), _BLOCK):
+        minima.append(float(np.minimum.reduce(f[i : i + _BLOCK])))
+        maxima.append(max(float(np.maximum.reduce(f[i : i + _BLOCK])), -minima[-1]))
     b = maxima.index(max(maxima))
-    return b * _BLOCK + tops[b][0], maxima[b], maxima
+    blk = f[b * _BLOCK : (b + 1) * _BLOCK]
+    top = b * _BLOCK + int(np.argmax(np.abs(blk, out=buf[: len(blk)])))
+    return top, maxima[b], maxima, minima
 
 
 @contextmanager
 def _modular_kernel(
-    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, blocks: _BlockMap, slope=False
+    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, signed: bool, blocks, slope=False
 ):
     """Yield lam -> sum_i w_i A(|a_i| / lam) over fixed atoms a_i, w_i > 0
     with max |a_i| = big, evaluated as the module docstring describes.  With
     slope it returns (S, D) instead: S that sum, bit for bit, and
     D = sum_i term_i * (p + q r_i), each term times its d log A / d log t,
-    from the same block buffers."""
+    from the same block buffers.  signed must hold if some a_i < 0; on atoms
+    >= 0 neither the set-up nor an evaluation takes an absolute value."""
     p, q = A.p, A.q
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
     two_buffers = slope and q > 0.0  # the slope sum keeps r_i apart from the term
     c = np.empty(len(a))
 
-    def thread_views(views):
-        """(w_blk, a_blk, c_blk, t, term): term is t unless the slope needs both."""
-        ell = np.empty(len(views[0][3])) if two_buffers else None
-        return [(*v[:4], v[3] if ell is None else ell[: len(v[3])]) for v in views]
+    def thread_views(buf):
+        """Every block as (w_blk, a_blk, c_blk, t, term), t and term in one
+        thread's buffers: term is t unless the slope needs both."""
+        ell = np.empty(len(buf)) if two_buffers else buf
+        views = []
+        for i in range(0, len(a), _BLOCK):
+            t = buf[: len(a) - i]
+            blk = slice(i, i + _BLOCK)
+            views.append((w[blk], a[blk], c[blk], t, ell[: len(t)] if two_buffers else t))
+        return views
 
     def set_up(view):
-        """c_i = log w_i + p*(log|a_i| - log M) over the block, and its least a_i."""
+        """c_i = log w_i + p*(log|a_i| - log M) over the block."""
         w_blk, a_blk, c_blk, t, _ = view
-        least = float(np.minimum.reduce(a_blk))
         np.log(w_blk, out=c_blk)
-        np.log(np.abs(a_blk, out=t) if least < 0.0 else a_blk, out=t)
+        np.log(np.abs(a_blk, out=t) if signed else a_blk, out=t)
         t -= log_big
         t *= p
         c_blk += t
-        return least
 
     offset = lam = 0.0  # the point of the evaluation under way, set by modular_at
 
@@ -228,7 +226,7 @@ def _modular_kernel(
             # with slope the term goes to the second buffer and t ends as
             # r = t / ((shift + t) L), L = log(shift + t)
             if big / lam == math.inf:  # log(shift + |a_i|/lam) from logs
-                np.log(np.abs(a_blk, out=t), out=t)
+                np.log(np.abs(a_blk, out=t) if signed else a_blk, out=t)
                 t -= math.log(lam)
                 np.logaddexp(t, log_shift, out=term)
                 if slope:
@@ -250,9 +248,10 @@ def _modular_kernel(
         total = float(np.add.reduce(np.exp(term, out=term)))
         return total, float(np.add.reduce(np.multiply(t, term, out=t))) if two_buffers else 0.0
 
-    views = [thread_views(v) for v in blocks.views(w, a, c)]
+    threads = max(1, min(len(a) // _SHARD_ATOMS, math.ceil(len(a) / _BLOCK)))
+    views = [thread_views(buf) for buf in blocks.buffers[:threads]]
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        signed = min(blocks.bind(set_up, views)()) < 0.0  # then each quotient needs its abs
+        list(blocks.bind(set_up, views)())  # runs every block's set-up
         each_block = blocks.bind(block_sums, views)
 
         def modular_at(at: float):
@@ -278,8 +277,9 @@ def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: floa
     if not lam > 0.0:
         raise DomainError(f"modular requires lam > 0, got {lam}")
     with closing(_BlockMap(len(f))) as blocks:
-        _, big, _ = _ess_sup(blocks, blocks.views(f.values, mu.weights))
-        with _modular_kernel(A, f.values, mu.weights, big, blocks) as modular_at:
+        _, big, _, minima = _ess_sup(f.values, blocks.buffers[0])
+        signed = min(minima) < 0.0
+        with _modular_kernel(A, f.values, mu.weights, big, signed, blocks) as modular_at:
             return modular_at(lam)
 
 
@@ -325,8 +325,8 @@ def luxemburg_norm(
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     with closing(_BlockMap(len(f))) as blocks:
-        views = blocks.views(f.values, mu.weights)
-        top, big, maxima = _ess_sup(blocks, views)
+        buf = blocks.buffers[0]  # the set-up runs on one thread
+        top, big, maxima, minima = _ess_sup(f.values, buf)
         if big == 0.0:
             return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
 
@@ -338,22 +338,20 @@ def luxemburg_norm(
 
         cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
         values, weights = f.values, mu.weights  # the kernel takes |f_i| per block
-
-        def kept(view):
-            """Indices in the block of its atoms with |f_i| > cut, None for all of them."""
-            f_blk, _, buf, mask = view
-            np.greater(np.abs(f_blk, out=buf), cut, out=mask)
-            return None if mask.all() else np.flatnonzero(mask)
-
-        pruned_mass = pruned_bound = 0.0
-        visited = [b for b, m in enumerate(maxima) if m > cut]  # blocks with some |f_i| > cut
-        found = list(blocks.bind(kept, [[t[b] for b in visited] for t in views[: len(visited)]])())
-        if len(visited) < len(maxima) or any(k is not None for k in found):  # something dropped
-            found = [
-                np.arange(len(views[0][b][0])) if k is None else k for b, k in zip(visited, found)
-            ]
-            index = np.concatenate([b * _BLOCK + k for b, k in zip(visited, found)])
-            values, weights = np.abs(f.values[index]), mu.weights[index]
+        signed, pruned_mass, pruned_bound = min(minima) < 0.0, 0.0, 0.0
+        mask, kept = np.empty(len(buf), bool), []
+        # per block above the cut: (start, indices of its atoms |f_i| > cut, None for all)
+        for i, block_max, block_min in zip(range(0, len(values), _BLOCK), maxima, minima):
+            if block_max > cut:  # else the block holds none
+                absf = values[i : i + _BLOCK]
+                if block_min < 0.0:
+                    absf = np.abs(absf, out=buf[: len(absf)])
+                keep = np.greater(absf, cut, out=mask[: len(absf)])
+                kept.append((i, None if keep.all() else i + keep.nonzero()[0]))
+        if len(kept) < len(maxima) or any(k is not None for _, k in kept):  # something dropped
+            index = [np.arange(i, min(i + _BLOCK, len(f))) if k is None else k for i, k in kept]
+            index = index[0] if len(index) == 1 else np.concatenate(index)
+            values, weights, signed = np.abs(f.values[index]), mu.weights[index], False
             kept_mass = float(weights.sum())
             if kept_mass <= 0.5 * mass:  # at least mass/2 is dropped: no cancellation
                 pruned_mass = mass - kept_mass
@@ -367,7 +365,7 @@ def luxemburg_norm(
                 assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
 
         newton = len(values) >= _NEWTON_MIN_ATOMS
-        with _modular_kernel(A, values, weights, big, blocks, slope=newton) as modular_at:
+        with _modular_kernel(A, values, weights, big, signed, blocks, newton) as modular_at:
             lam, h, lo, hi, evaluations = _solve(modular_at, newton, lo, hi, tol - pruned_bound)
     residual = abs(h) + pruned_bound
     if residual > tol and hi - lo > tol * lam:

@@ -118,7 +118,8 @@ def modular_oracle(A, values, weights, lam):
 def kernel_on(A, a, w, slope=False):
     """The modular kernel over atoms a, w on a block map of its own."""
     with closing(norm_module._BlockMap(len(a))) as blocks:
-        with norm_module._modular_kernel(A, a, w, float(np.abs(a).max()), blocks, slope) as kernel:
+        big, signed = float(np.abs(a).max()), bool(a.min() < 0.0)
+        with norm_module._modular_kernel(A, a, w, big, signed, blocks, slope) as kernel:
             yield kernel
 
 
@@ -306,24 +307,24 @@ SET_UP_CASES = {
 
 def kept_atoms(monkeypatch, A, f, mu):
     """luxemburg_norm; copies of the (a, w) of every kernel built; and the
-    number of blocks of every task bound to the block map."""
-    kernels, runs = [], []
-    kernel, bind = norm_module._modular_kernel, norm_module._BlockMap.bind
+    number of blocks the cut compares with it."""
+    kernels, compared = [], []
+    kernel, greater = norm_module._modular_kernel, np.greater
 
     @contextmanager
-    def recording_kernel(A, a, w, big, blocks, slope=False):
+    def recording_kernel(A, a, w, big, signed, blocks, slope=False):
         kernels.append((a.copy(), w.copy()))
-        with kernel(A, a, w, big, blocks, slope) as modular_at:
+        with kernel(A, a, w, big, signed, blocks, slope) as modular_at:
             yield modular_at
 
-    def recording_bind(blocks, task, views):
-        runs.append(len(views[0]))
-        return bind(blocks, task, views)
+    def recording_greater(*args, **kwargs):
+        compared.append(len(args[0]))
+        return greater(*args, **kwargs)
 
     with monkeypatch.context() as mp:
         mp.setattr(norm_module, "_modular_kernel", recording_kernel)
-        mp.setattr(norm_module._BlockMap, "bind", recording_bind)
-        return luxemburg_norm(A, f, mu), kernels, runs
+        mp.setattr(np, "greater", recording_greater)
+        return luxemburg_norm(A, f, mu), kernels, len(compared)
 
 
 class TestShardedKernel:
@@ -358,8 +359,9 @@ class TestShardedKernel:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("case", sorted(SET_UP_CASES))
     def test_set_up_changes_no_number(self, monkeypatch, pool_tasks, case, cpus):
-        # the set-up's two passes run on the kernel's blocks and threads: every
-        # result is bit-identical to the serial solve, and the kept atoms are
+        # the set-up's two passes run on the map's blocks, the kernel on its
+        # threads: every result is bit-identical to the serial solve, the pool
+        # is made only for a kernel of two threads, and the kept atoms are
         # those of a numpy mask |f| > cut (strictly), gathered in index order
         values, weights, q = SET_UP_CASES[case]()
         mu, f = atoms(values, weights)
@@ -369,9 +371,10 @@ class TestShardedKernel:
         assert not pool_tasks
         monkeypatch.setattr(norm_module, "_cpus", lambda: cpus)
         monkeypatch.setattr(norm_module, "_SHARD_ATOMS", 1)
-        res, kernels, runs = kept_atoms(monkeypatch, A, f, mu)
+        res, kernels, compared = kept_atoms(monkeypatch, A, f, mu)
+        kept = len(kernels[0][0]) if kernels else 0
+        assert bool(pool_tasks) == (cpus > 1 and kept > norm_module._BLOCK)
         assert (hexed(res), modular(A, f, mu, 0.7).hex()) == serial
-        assert bool(pool_tasks) == (cpus > 1)
 
         absf = np.abs(values)
         if not absf.any():
@@ -383,7 +386,7 @@ class TestShardedKernel:
         if case == "cut_attained":
             assert not keep[CUT_AT].any()
         if case == "kept_in_one_block":  # the cut visits that block alone
-            assert runs[:2] == [4, 1]
+            assert compared == 1
 
     def test_small_inputs_use_no_pool(self, pool_tasks):
         # solves of q-ladder (32 atoms) and sweep-100k (1e5 atoms) size run on
@@ -609,10 +612,10 @@ def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
     kernel = norm_module._modular_kernel
 
     @contextmanager
-    def recording_kernel(A, a, w, big, blocks, slope=False):
+    def recording_kernel(A, a, w, big, signed, blocks, slope=False):
         lams = []
         kernels.append((np.size(a), slope, lams))
-        with kernel(A, a, w, big, blocks, slope) as modular_at:
+        with kernel(A, a, w, big, signed, blocks, slope) as modular_at:
 
             def recorded(lam):
                 lams.append(lam)
@@ -750,28 +753,33 @@ class TestPruning:
         check_pruned_mass(A, f, mu, res, kept)
 
     def test_pruned_mass_by_direct_sum_threaded(self, monkeypatch, pool_tasks):
-        # the same on 2^17 + 1000 atoms, set up on two threads: the kept atom
-        # and the direct sum of the dropped weights match the serial solve
+        # 2^17 + 1000 atoms, 1000 of them 1e-30-sized and spread over every
+        # block: the 2^17 kept ones hold 0.9 of the mass, so the dropped
+        # weights are summed directly, and the kernel runs on two threads;
+        # every field matches the serial solve
         rng = np.random.default_rng(10)
-        small = rng.uniform(0.1, 1.0, 2**17 + 1000)
-        values = np.concatenate([1e-30 * small[:70_000], [1.0], 1e-30 * small[70_000:]])
-        weights = np.concatenate([small[:70_000], [0.0], small[70_000:]])
-        weights *= 0.1 / weights.sum()
-        weights[70_000] = 0.9
+        n = 2**17 + 1000
+        values, weights = rng.uniform(0.5, 1.0, n), rng.uniform(0.1, 1.0, n)
+        dropped = np.zeros(n, dtype=bool)
+        dropped[rng.choice(n, 1000, replace=False)] = True
+        values[dropped] *= 1e-30
+        weights[dropped] *= 0.1 / weights[dropped].sum()
+        weights[~dropped] *= 0.9 / weights[~dropped].sum()
         mu, f = atoms(values, weights)
         A = YoungFunction.log_bump(2.0, 1.0)
         monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
         serial = hexed(luxemburg_norm(A, f, mu))
+        assert not pool_tasks
         monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
         res, [kept] = counted_norm(monkeypatch, A, f, mu, PRUNE_TOL)
-        assert kept == 1 and pool_tasks
+        assert kept == 2**17 and pool_tasks
         assert hexed(res) == serial
         check_pruned_mass(A, f, mu, res, kept)
 
     @pytest.mark.parametrize("q", [1.0, 1e5])
     def test_allocation(self, q):
         # tracemalloc sees numpy's buffers.  The set-up takes |f| block by
-        # block into a buffer and a mask of one block (9 B per block atom),
+        # block into a buffer, and the cut into a mask of one block (9 B per block atom),
         # and the kernel adds a second buffer for the slope: with one atom
         # kept (q = 1e5) nothing is N-sized, and with nothing pruned (q = 1)
         # only the kernel's log weights (8 B/atom) are; a whole-array |f|,
@@ -797,15 +805,16 @@ class TestPruning:
         assert peak <= bound + 16 * 1024, peak / n
 
     def test_allocation_sharded(self, monkeypatch, pool_tasks):
-        # on two threads each owns the set-up's buffer and mask and, for the
-        # slope, the kernel's second buffer; nothing else grows beyond the
-        # serial solve's log weights, or at q = 1e5 beyond the set-up's buffers
+        # on two threads each owns a block buffer and, for the slope, the
+        # kernel's second one; beside them the cut's mask of one block and the
+        # serial solve's log weights.  At q = 1e5 the kernel is serial: no pool
         monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
         n, block = 4 * norm_module._SHARD_ATOMS, norm_module._BLOCK
         mu, f = lognormal_instance(seed=3, n=n)
-        for q, bound in ((1.0, 8 * n + 2 * 17 * block), (1e5, 2 * 9 * block)):
+        for q, bound in ((1.0, 8 * n + 33 * block), (1e5, 17 * block)):
             A = YoungFunction.log_bump(2.0, q)
             luxemburg_norm(A, f, mu)
+            pool_tasks.clear()
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -813,7 +822,7 @@ class TestPruning:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert (res.pruned_mass == 0.0) == (q == 1.0) and pool_tasks
+            assert (res.pruned_mass == 0.0) == (q == 1.0) == bool(pool_tasks)
             # the pool's thread, futures and per-thread block views add about
             # 20 KB of Python objects to the serial solve's 16 KB allowance
             assert peak <= bound + 32 * 1024, (q, peak / n)
@@ -924,8 +933,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def flat_kernel(A, a, w, big, blocks, slope=False):
-            with kernel(A, a, w, big, blocks, slope) as modular_at:
+        def flat_kernel(A, a, w, big, signed, blocks, slope=False):
+            with kernel(A, a, w, big, signed, blocks, slope) as modular_at:
 
                 def flat(lam):
                     m, d = modular_at(lam)
@@ -948,8 +957,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def overflowing_kernel(A, a, w, big, blocks, slope=False):
-            with kernel(A, a, w, big, blocks, slope) as modular_at:
+        def overflowing_kernel(A, a, w, big, signed, blocks, slope=False):
+            with kernel(A, a, w, big, signed, blocks, slope) as modular_at:
                 calls = []
 
                 def overflowing(lam):
