@@ -17,9 +17,9 @@ thread pool, whose threads and the caller each take the next block not yet
 taken, in parallel since numpy's ufuncs release the GIL.  Results come back
 in block order and sums are added in it, so the thread count changes no result.
 
-The set-up takes |f| block by block into the buffer: a first pass for each
-block's first argmax (the top atom is the first block maximum attaining
-M = max |f|), a second, after the pruning cut, over only the blocks whose
+The set-up forms no whole-array |f|: a first pass takes each block's
+maximum and minimum, then the top atom in the first block attaining
+M = max |f|; a second, after the pruning cut, visits only the blocks whose
 maximum is above it, gathering the kept atoms in block order.  At large q
 only the atoms near ess sup |f| are kept: the pointwise domination behind
 the paper's upper bound.

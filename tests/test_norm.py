@@ -778,8 +778,8 @@ class TestPruning:
 
     @pytest.mark.parametrize("q", [1.0, 1e5])
     def test_allocation(self, q):
-        # tracemalloc sees numpy's buffers.  The set-up takes |f| block by
-        # block into a buffer, and the cut into a mask of one block (9 B per block atom),
+        # tracemalloc sees numpy's buffers.  The set-up takes |f| of a block
+        # into a buffer, and the cut a mask of one block (9 B per block atom),
         # and the kernel adds a second buffer for the slope: with one atom
         # kept (q = 1e5) nothing is N-sized, and with nothing pruned (q = 1)
         # only the kernel's log weights (8 B/atom) are; a whole-array |f|,
