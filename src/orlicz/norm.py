@@ -337,10 +337,10 @@ def luxemburg_norm(
             lo, hi = hi, lo
 
         cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
-        values, weights = f.values, mu.weights  # the kernel takes |f_i| per block
+        values, weights = f.values, mu.weights  # the kernel's atoms if nothing is dropped
         signed, pruned_mass, pruned_bound = min(minima) < 0.0, 0.0, 0.0
-        mask, kept = np.empty(len(buf), bool), []
         # per block above the cut: (start, indices of its atoms |f_i| > cut, None for all)
+        mask, kept = np.empty(len(buf), bool), []
         for i, block_max, block_min in zip(range(0, len(values), _BLOCK), maxima, minima):
             if block_max > cut:  # else the block holds none
                 absf = values[i : i + _BLOCK]
