@@ -7,7 +7,7 @@ the solver targets the equation directly, in log scale from an
 analytically certified bracket, since lam is a positive scale whose
 accuracy is relative and the bracket can span hundreds of decades.  The
 package's one root loop, young._root, narrows that bracket: it bisects, or
-on large inputs evaluates Newton proposals that land inside the bracket.
+from 2^10 kept atoms on evaluates Newton proposals that land inside it.
 
 Every pass over the atoms runs in blocks of 2^16, on a call's block map
 (_BlockMap) of up to min(CPUs, N // _SHARD_ATOMS) threads.  The set-up's
@@ -39,13 +39,17 @@ With at least _NEWTON_MIN_ATOMS kept atoms the loop takes Newton
 proposals (_solve).  By the delta substitution the slope
 d log A / d log t = p + q t / ((shift + t) log(shift + t)) is closed form,
 so the kernel sums the modular's slope in the same pass, and the loop
-starts at lo, where the modular is >= 1.  Smaller solves bisect.
+starts at lo, where the modular is >= 1.  Smaller solves bisect: the
+benchmark keeps a record per q-ladder call (2-32 atoms), so that a speed-up
+past 2.5x reads as a peak_rss_mb regression, and on small inputs the gaps
+|norm - M| that limit_sweep compares at large q are where bisection stops.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
@@ -56,7 +60,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .measure import DiscreteMeasure, SampledFunction, check_aligned
-from .young import YoungFunction, _root
+from .young import YoungFunction, _root, _solve_log
 
 __all__ = [
     "NormStatus",
@@ -71,7 +75,9 @@ DEFAULT_TOL = 1e-10
 
 _BLOCK = 1 << 16  # atoms per kernel block; its 512 KB buffer stays in cache
 _SHARD_ATOMS = 1 << 16  # fewest atoms per thread for which a thread pays
-_NEWTON_MIN_ATOMS = 1 << 15  # kept atoms from which the solver takes Newton steps
+# kept atoms from which the solver takes Newton steps; smaller solves bisect for
+# q-ladder's per-call records and limit_sweep's gaps (module docstring)
+_NEWTON_MIN_ATOMS = 1 << 10
 
 
 class NormStatus(Enum):
@@ -297,6 +303,13 @@ def luxemburg_norm(
         lam_hi = M / A^{-1}(1/s)   gives modular(lam_hi) <= (support mass) / s <= 1,
         lam_lo = M / A^{-1}(1/w)   gives modular(lam_lo) >= 1.
 
+    Each inverse t solves log A(t) = log(1/w) to a log-residual res; as
+    d log A / d log t >= p, the exact inverse is within (|res| + delta)/p of
+    log t, delta bounding the rounding of res: 2^-50 (|p log t| + |log w| +
+    q (|log L| + 1 + 1/L)), L = log(shift + t), plus 2 (N - 1) u for s, a sum
+    of N weights.  Each end moves outward by that and 2^-50 more for its own
+    roundings, to at most the largest double, so lam_lo <= root <= lam_hi.
+
     Atoms with |f_i| <= cut = lam_lo * A^{-1}(tol / (4s)) are then dropped
     (the inverse to a loose 1e-3, since the bound is recomputed exactly),
     atoms with f_i = 0 among them: for every lam >= lam_lo they add at most
@@ -314,8 +327,8 @@ def luxemburg_norm(
     tol - pruned_bound of 1, so the full modular meets |modular(lam) - 1| <=
     tol, unless the bracket collapses to adjacent doubles first.  A bracket
     no wider than tol * lam then comes back FINITE with its residual, which
-    exceeds tol where the evaluation noise (about q * 1e-16) does; for one
-    atom the closed-form ends coincide.  NumericError is raised only for a
+    exceeds tol where the evaluation noise (about q * 1e-16) does.
+    NumericError is raised only for a
     residual above tol from a bracket still wider than tol * lam, which
     takes a tol near one ULP.  iterations counts the evaluations of the
     kept modular, each over every kept atom; the inverses behind the bracket
@@ -331,11 +344,7 @@ def luxemburg_norm(
             return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
 
         mass = mu.total_mass
-        lo = big / A.inverse(1.0 / float(mu.weights[top]))
-        hi = big / A.inverse(1.0 / mass)
-        if lo > hi:  # equal for one atom; inverse (to 1e-12) swaps a mass ULPs above w
-            lo, hi = hi, lo
-
+        lo, hi = _closed_form_bracket(A, big, float(mu.weights[top]), mass, len(f))
         cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
         values, weights = f.values, mu.weights  # the kernel's atoms if nothing is dropped
         signed, pruned_mass, pruned_bound = min(minima) < 0.0, 0.0, 0.0
@@ -376,6 +385,20 @@ def luxemburg_norm(
     return NormResult(
         lam, lo, hi, residual, evaluations, NormStatus.FINITE, pruned_mass, pruned_bound
     )
+
+
+def _closed_form_bracket(A: YoungFunction, big: float, w_top: float, mass: float, n: int):
+    """(lo, hi): big / A^{-1}(1/w) for w = w_top and for w = mass, a sum of n
+    weights, each moved outward past its exact value as luxemburg_norm says."""
+    ends = []
+    for w, sum_error, side in ((w_top, 0.0, -1.0), (mass, (n - 1) * 2.0**-52, 1.0)):
+        target = -math.log(w)
+        t, res = _solve_log(A, target, 0.5e-12)
+        L = math.log(A.shift + t) if A.q > 0.0 else 1.0  # a power's shift may be <= 1
+        noise = abs(A.p * math.log(t)) + abs(target) + A.q * (abs(math.log(L)) + 1.0 + 1.0 / L)
+        margin = (abs(res) + sum_error + 2.0**-50 * noise) / A.p + 2.0**-50
+        ends.append(min(big / t * math.exp(side * margin), sys.float_info.max))
+    return tuple(ends)
 
 
 def _solve(modular_at, newton: bool, lo: float, hi: float, tol: float):

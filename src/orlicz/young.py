@@ -125,7 +125,7 @@ class YoungFunction:
             raise DomainError(f"inverse requires y >= 0, got {y}")
         if y == 0.0:
             return 0.0
-        return _solve_log(self, math.log(y), 0.5 * tol)
+        return _solve_log(self, math.log(y), 0.5 * tol)[0]
 
 
 def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
@@ -173,8 +173,8 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
             x = hi if g_hi == math.inf and lo < hi else None
 
 
-def _solve_log(A: YoungFunction, target: float, tol_log: float) -> float:
-    """Find t > 0 with log A(t) = target, to |residual| <= tol_log or one ULP.
+def _solve_log(A: YoungFunction, target: float, tol_log: float) -> tuple[float, float]:
+    """(t, log A(t) - target): t > 0 with log A(t) = target, to |residual| <= tol_log or one ULP.
 
     The bracket end exp((target - log A(1)) / p) is clamped to the double
     range; a root beyond the clamp leaves a log-residual that raises
@@ -194,7 +194,7 @@ def _solve_log(A: YoungFunction, target: float, tol_log: float) -> float:
             f"inverse did not converge: log-residual {res:.3e} at t={t!r} "
             f"(bracket [{lo!r}, {hi!r}])"
         )
-    return t
+    return t, res
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def compare(A: YoungFunction, B: YoungFunction, grid) -> ComparisonResult:
     pts = _validate_grid(grid, require_sorted=False)
     c_best = 0.0
     for t in pts:
-        s = _solve_log(B, A.log_value(t), 1e-13)
+        s, _ = _solve_log(B, A.log_value(t), 1e-13)
         c_best = max(c_best, s / t)
     certified = all(A.log_value(t) <= B.log_value(c_best * t) + _GRID_SLACK for t in pts)
     return ComparisonResult(c_best, tuple(pts), certified)

@@ -251,10 +251,11 @@ def set_up_instance(seed=21):
 
 
 def set_up_cut(A, values, weights, tol=norm_module.DEFAULT_TOL):
-    """luxemburg_norm's cut lo * A^{-1}(tol / (4s)), lo from the first atom attaining max |f|."""
+    """luxemburg_norm's cut lo * A^{-1}(tol / (4s)), lo the closed-form end
+    from the first atom attaining max |f|."""
     absf = np.abs(values)
     top, mass = int(np.argmax(absf)), float(np.sum(weights))
-    lo = min(absf[top] / A.inverse(1.0 / weights[top]), absf[top] / A.inverse(1.0 / mass))
+    lo, _ = norm_module._closed_form_bracket(A, absf[top], weights[top], mass, len(values))
     return lo * A.inverse(0.25 * tol / mass, tol=1e-3)
 
 
@@ -486,9 +487,11 @@ class TestLuxemburgNorm:
 
     @pytest.mark.parametrize("q", [1e7, 1e8, 1e9, 1e10])
     def test_collapsed_bracket_returns_residual_above_tol(self, q):
-        # one atom: the closed-form ends coincide, so there is no bracket to
-        # narrow, and the evaluation noise (about q * 1e-16) leaves the
-        # residual above tol; the result is FINITE, not a NumericError
+        # one atom: the closed-form ends lie either side of its root, moved
+        # apart by the inverse's residual and rounding, and no double between
+        # them meets tol: the solve bisects them down to one ULP, and the
+        # evaluation noise (about q * 1e-16) leaves the residual above tol;
+        # the result is FINITE, not a NumericError
         mu, f = atoms([1], [0.5])
         res = luxemburg_norm(YoungFunction.log_bump(1, q), f, mu)
         assert res.status is NormStatus.FINITE
@@ -497,15 +500,53 @@ class TestLuxemburgNorm:
 
     def test_swapped_closed_form_ends(self):
         # the total mass is one ULP above the top weight and the inverse holds
-        # to 1e-12 only, so the closed-form lo comes out above hi and the two
-        # are swapped; the exact norm is w0 + w1/2
+        # to 1e-12 only, so big / A^{-1}(1/w) would put lo above hi; the ends,
+        # moved outward past the inverse's residual, hold the exact norm
+        # w0 + w1/2 (one ULP above w0, so exact in doubles)
         w = [0.9336002244460524, 2.220446049250313e-16]
         mu, f = atoms([1.0, 0.5], w)
         A = YoungFunction.power(1)
         assert 1.0 / A.inverse(1.0 / w[0]) > 1.0 / A.inverse(1.0 / mu.total_mass)
         res = luxemburg_norm(A, f, mu)
         assert res.status is NormStatus.FINITE and res.residual <= 1e-10
+        assert res.bracket_lo <= w[0] + 0.5 * w[1] <= res.bracket_hi
         assert abs(res.value - (w[0] + 0.5 * w[1])) <= 1e-10
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
+    def test_closed_form_ends_on_their_side(self, monkeypatch, p, q):
+        # the long-double modular is >= 1 at the closed-form lo and <= 1 at
+        # hi, where an inverse to 1e-12 leaves them on either side of a root
+        # that is an end: equal values (root hi) and a top atom that alone
+        # survives pruning (root lo, the other atoms 1e-30 times smaller).
+        # 127 weights below half an ULP of a leading 1.0 sum 7 ULPs low
+        # (numpy's first pairwise accumulator absorbs 15 of them), which hi
+        # must allow for
+        ends, solve = [], norm_module._solve
+
+        def recording(modular_at, newton, lo, hi, tol):
+            ends.append((lo, hi))
+            return solve(modular_at, newton, lo, hi, tol)
+
+        monkeypatch.setattr(norm_module, "_solve", recording)
+        A = YoungFunction.log_bump(p, q)
+        inputs = [(np.ones(128), np.array([1.0] + [0.49 * 2.0**-52] * 127))]
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n, top = int(rng.integers(1, 33)), rng.lognormal(0.0, 1.0)
+            weights = rng.lognormal(0.0, 2.0, n)
+            small = 1e-30 * top * rng.uniform(0.1, 1.0, n)
+            small[rng.integers(n)] = top
+            inputs += [(np.full(n, top), weights), (small, weights)]
+        if (p, q) == (100.0, 0.0):  # pruning keeps one atom of 1e5
+            mu, f = lognormal_instance(seed=2, n=100_000)
+            inputs.append((f.values, mu.weights))
+        for values, weights in inputs:
+            mu, f = atoms(values, weights)
+            luxemburg_norm(A, f, mu)
+            lo, hi = ends.pop()
+            assert modular_longdouble(A, values, weights, lo) >= 1.0
+            assert modular_longdouble(A, values, weights, hi) <= 1.0
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 1e5])
     def test_sign_invariance(self, q):
@@ -525,18 +566,18 @@ class TestLuxemburgNorm:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_top_weight_from_first_atom_attaining_max(self, monkeypatch, sign):
         # +M and -M both attain ess sup |f|: lo = M / A^{-1}(1/w) takes w
-        # from the first of them
+        # from the first of them; the inverse solves log A(t) = log(1/w)
         mu, f = atoms([0.5, -2.0 * sign, 2.0 * sign, 1.0], [0.1, 0.2, 0.6, 0.1])
         calls = []
-        inverse = YoungFunction.inverse
+        solve_log = norm_module._solve_log
 
-        def recording(A, y, **kwargs):
-            calls.append(y)
-            return inverse(A, y, **kwargs)
+        def recording(A, target, tol_log):
+            calls.append(target)
+            return solve_log(A, target, tol_log)
 
-        monkeypatch.setattr(YoungFunction, "inverse", recording)
+        monkeypatch.setattr(norm_module, "_solve_log", recording)
         res = luxemburg_norm(B11, f, mu)
-        assert calls[0] == 1.0 / 0.2
+        assert calls[0] == -math.log(0.2)
         assert res.status is NormStatus.FINITE and res.residual <= 1e-10
 
     def test_modular_at_norm_is_one(self):
@@ -602,6 +643,7 @@ EDGE_CASES = {
     "heavy_weights": ([1.0, 2.0, 4.0, 0.5, 3.9], [2.0, 5.0, 1e3, 7.0, 40.0]),
     "mass_3e299": (np.linspace(0.5, 4.0, 100), np.full(100, 3e297)),
     "extreme_values": ([1e-300, 1.0, 1e300], [1e-300, 0.5, 1e-300]),
+    "largest_double": ([1.7976931348623157e308], [1.0]),  # the root, and hi, at the cap
 }
 
 
@@ -861,18 +903,15 @@ def newton_case(name):
 def check_certified(A, values, weights, res, kernels, tol=PRUNE_TOL):
     """iterations counts the evaluations of the one kernel, over the kept
     atoms, and the long-double oracle confirms the final bracket and the
-    value.  An end that is also the value was accepted on its residual and
-    is held to tol: the closed-form hi is the exact root on equal values,
-    up to the 1e-12 tolerance of the inverse behind it."""
+    value.  An end that is also the value is a closed-form end, accepted on
+    its residual, and held to its side all the same."""
     [(kept, slope, lams)] = kernels
     assert slope == (kept >= NEWTON_N)
     assert res.iterations == len(lams)
     assert res.status is NormStatus.FINITE and res.residual <= tol
     assert abs(modular_longdouble(A, values, weights, res.value) - 1.0) <= tol
-    if res.bracket_lo != res.value:
-        assert modular_longdouble(A, values, weights, res.bracket_lo) >= 1.0
-    if res.bracket_hi != res.value:
-        assert modular_longdouble(A, values, weights, res.bracket_hi) <= 1.0 + res.pruned_bound
+    assert modular_longdouble(A, values, weights, res.bracket_lo) >= 1.0
+    assert modular_longdouble(A, values, weights, res.bracket_hi) <= 1.0 + res.pruned_bound
 
 
 class TestCoarseStart:
@@ -896,11 +935,14 @@ class TestCoarseStart:
             assert res.pruned_mass > 0.0
         check_certified(A, values, weights, res, kernels)
 
-    def test_few_evaluations(self):
-        mu, f = lognormal_instance(seed=3, n=100_000)
-        res = luxemburg_norm(YoungFunction.log_bump(2, 1), f, mu, PRUNE_TOL)
-        assert res.pruned_mass == 0.0
-        assert res.iterations <= 6
+    def test_few_evaluations(self, monkeypatch):
+        # nothing pruned, the kernel sums the slope, and Newton steps from lo
+        # take a handful of evaluations where bisection takes 32 to 36
+        for n, q in ((100_000, 1.0), (10_000, 1.0), (10_000, 10.0)):
+            mu, f = lognormal_instance(seed=3, n=n)
+            res, [(_, slope, _)] = traced_norm(monkeypatch, YoungFunction.log_bump(2, q), f, mu)
+            assert res.pruned_mass == 0.0 and slope
+            assert res.iterations <= 6
 
     def test_step_past_hi_evaluates_hi(self, monkeypatch):
         # on equal values the closed-form hi is the root; the first step
@@ -973,9 +1015,10 @@ class TestCoarseStart:
         A = YoungFunction.log_bump(2.0, q)
         res, kernels = traced_norm(monkeypatch, A, f, mu)
         [(_, slope, lams)] = kernels
-        big = float(values.max())
-        lo = big / A.inverse(1.0 / float(weights[np.argmax(values)]))
-        hi = big / A.inverse(1.0 / float(weights.sum()))
+        top = int(np.argmax(values))
+        lo, hi = norm_module._closed_form_bracket(
+            A, values[top], weights[top], float(weights.sum()), len(values)
+        )
         assert slope and lams[:2] == [lo, hi]
         check_certified(A, values, weights, res, kernels)
 
