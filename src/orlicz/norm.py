@@ -9,13 +9,14 @@ accuracy is relative and the bracket can span hundreds of decades.  The
 package's one root loop, young._root, narrows that bracket: it bisects, or
 from 2^10 kept atoms on evaluates Newton proposals that land inside it.
 
-Every pass over the atoms runs in blocks of 2^16, on a call's block map
-(_BlockMap) of up to min(CPUs, N // _SHARD_ATOMS) threads.  The set-up's
-memory-bound passes run on the calling thread; the kernel uses as many
-threads as its kept atoms allow.  From two on, the call makes its one
+Every pass over the atoms runs in blocks of 2^16.  The set-up's
+memory-bound passes run on the calling thread; the kernel shares its blocks
+among min(CPUs, N // 2^16) threads, N its atoms, since a thread pays only
+for a whole block of its own.  From two on, the kernel makes its one
 thread pool, whose threads and the caller each take the next block not yet
 taken, in parallel since numpy's ufuncs release the GIL.  Results come back
-in block order and sums are added in it, so the thread count changes no result.
+in block order and sums are added in it, so the thread count changes no
+result.
 
 The set-up forms no whole-array |f|: a first pass takes each block's
 maximum and minimum, then the top atom in the first block attaining
@@ -51,10 +52,9 @@ import math
 import os
 import sys
 import threading
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -74,7 +74,6 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 _BLOCK = 1 << 16  # atoms per kernel block; its 512 KB buffer stays in cache
-_SHARD_ATOMS = 1 << 16  # fewest atoms per thread for which a thread pays
 # kept atoms from which the solver takes Newton steps; smaller solves bisect for
 # q-ladder's per-call records and limit_sweep's gaps (module docstring)
 _NEWTON_MIN_ATOMS = 1 << 10
@@ -117,77 +116,23 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _BlockMap:
-    """One call's blocks and threads over n atoms (module docstring): a buffer
-    of one block for each of up to min(CPUs, n // _SHARD_ATOMS) threads, and
-    the pool, made on the first bind that uses two.  close() ends the pool."""
-
-    def __init__(self, n: int):
-        threads = n // _SHARD_ATOMS
-        if threads > 1:
-            threads = min(threads, _cpus())
-        self.buffers = [np.empty(min(n, _BLOCK)) for _ in range(max(threads, 1))]
-        self.pool = None
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def bind(self, task, views: list):
-        """A function of no arguments giving task(view) for each view in
-        views[0], in block order; views[k] holds the same blocks with thread
-        k's buffers.  On one thread it is map(), run as the caller iterates;
-        on more, each thread takes the next block not yet taken, before return."""
-        if len(views) < 2:
-            return partial(map, task, views[0])
-        if self.pool is None:
-            # imported here: at module level it would cost every orlicz process ~7 ms
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.pool = ThreadPoolExecutor(len(self.buffers) - 1)
-            self.lock = threading.Lock()
-
-        def run():
-            results = [None] * len(views[0])
-            untaken = iter(range(len(results)))
-
-            def work(blocks):
-                # numpy keeps the error state per thread: enter the kernel's
-                with np.errstate(over="ignore", under="ignore", divide="ignore"):
-                    while True:
-                        with self.lock:
-                            k = next(untaken, None)
-                        if k is None:
-                            return
-                        results[k] = task(blocks[k])
-
-            futures = [self.pool.submit(work, blocks) for blocks in views[1:]]
-            work(views[0])
-            for future in futures:
-                future.result()
-            return results
-
-        return run
-
-
-def _ess_sup(f: np.ndarray, buf: np.ndarray) -> tuple[int, float, list, list]:
+def _ess_sup(f: np.ndarray) -> tuple[int, float, list, list]:
     """(top, M, block maxima of |f|, block minima of f): M = max |f|, top its first
     atom, as np.argmax(np.abs(f)) finds it: the first argmax of |f| in the first block
-    attaining M, taken in buf, a buffer of one block.  np.argmax would copy a read-only
-    f; the reductions do not."""
+    attaining M.  np.argmax would copy each block of a read-only f; the
+    reductions do not."""
     maxima, minima = [], []
     for i in range(0, len(f), _BLOCK):
         minima.append(float(np.minimum.reduce(f[i : i + _BLOCK])))
         maxima.append(max(float(np.maximum.reduce(f[i : i + _BLOCK])), -minima[-1]))
     b = maxima.index(max(maxima))
-    blk = f[b * _BLOCK : (b + 1) * _BLOCK]
-    top = b * _BLOCK + int(np.argmax(np.abs(blk, out=buf[: len(blk)])))
+    top = b * _BLOCK + int(np.argmax(np.abs(f[b * _BLOCK : (b + 1) * _BLOCK])))
     return top, maxima[b], maxima, minima
 
 
 @contextmanager
 def _modular_kernel(
-    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, signed: bool, blocks, slope=False
+    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, signed: bool, slope=False
 ):
     """Yield lam -> sum_i w_i A(|a_i| / lam) over fixed atoms a_i, w_i > 0
     with max |a_i| = big, evaluated as the module docstring describes.  With
@@ -201,9 +146,10 @@ def _modular_kernel(
     two_buffers = slope and q > 0.0  # the slope sum keeps r_i apart from the term
     c = np.empty(len(a))
 
-    def thread_views(buf):
+    def thread_views():
         """Every block as (w_blk, a_blk, c_blk, t, term), t and term in one
-        thread's buffers: term is t unless the slope needs both."""
+        thread's buffers of one block: term is t unless the slope needs both."""
+        buf = np.empty(min(len(a), _BLOCK))
         ell = np.empty(len(buf)) if two_buffers else buf
         views = []
         for i in range(0, len(a), _BLOCK):
@@ -254,22 +200,58 @@ def _modular_kernel(
         total = float(np.add.reduce(np.exp(term, out=term)))
         return total, float(np.add.reduce(np.multiply(t, term, out=t))) if two_buffers else 0.0
 
-    threads = max(1, min(len(a) // _SHARD_ATOMS, math.ceil(len(a) / _BLOCK)))
-    views = [thread_views(buf) for buf in blocks.buffers[:threads]]
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        list(blocks.bind(set_up, views)())  # runs every block's set-up
-        each_block = blocks.bind(block_sums, views)
+    threads = max(1, len(a) // _BLOCK)  # a thread pays only for a whole block
+    if threads > 1:
+        threads = min(threads, _cpus())
+    views = [thread_views() for _ in range(threads)]
+    pool = None
+    if threads > 1:
+        # imported here: at module level it would cost every orlicz process ~7 ms
+        from concurrent.futures import ThreadPoolExecutor
 
-        def modular_at(at: float):
-            nonlocal offset, lam
-            lam, offset = at, p * (log_big - math.log(at))
-            total = weighted = 0.0
-            for s, d in each_block():  # in block order
-                total += s
-                weighted += d
-            return (total, p * total + q * weighted) if slope else total
+        pool, lock = ThreadPoolExecutor(threads - 1), threading.Lock()
 
-        yield modular_at
+    def each_block(task):
+        """task(view) for every block, in block order.  On one thread it is
+        map(), run as the caller iterates; on more, the pool's threads and
+        the caller each take the next block not yet taken, before return."""
+        if pool is None:
+            return map(task, views[0])
+        results = [None] * len(views[0])
+        untaken = iter(range(len(results)))
+
+        def work(blocks):
+            # numpy keeps the error state per thread: enter the kernel's
+            with np.errstate(over="ignore", under="ignore", divide="ignore"):
+                while True:
+                    with lock:
+                        k = next(untaken, None)
+                    if k is None:
+                        return
+                    results[k] = task(blocks[k])
+
+        futures = [pool.submit(work, blocks) for blocks in views[1:]]
+        work(views[0])
+        for future in futures:
+            future.result()
+        return results
+
+    def modular_at(at: float):
+        nonlocal offset, lam
+        lam, offset = at, p * (log_big - math.log(at))
+        total = weighted = 0.0
+        for s, d in each_block(block_sums):  # in block order
+            total += s
+            weighted += d
+        return (total, p * total + q * weighted) if slope else total
+
+    try:
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            list(each_block(set_up))  # runs every block's set-up
+            yield modular_at
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: float) -> float:
@@ -282,11 +264,9 @@ def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: floa
     check_aligned(f, mu)
     if not lam > 0.0:
         raise DomainError(f"modular requires lam > 0, got {lam}")
-    with closing(_BlockMap(len(f))) as blocks:
-        _, big, _, minima = _ess_sup(f.values, blocks.buffers[0])
-        signed = min(minima) < 0.0
-        with _modular_kernel(A, f.values, mu.weights, big, signed, blocks) as modular_at:
-            return modular_at(lam)
+    _, big, _, minima = _ess_sup(f.values)
+    with _modular_kernel(A, f.values, mu.weights, big, min(minima) < 0.0) as modular_at:
+        return modular_at(lam)
 
 
 def luxemburg_norm(
@@ -321,61 +301,64 @@ def luxemburg_norm(
     cancel, the dropped weights summed directly.  A sum of N terms >= 0 errs
     by at most (N - 1) u relative (u = 2^-53) and the difference by at most
     3 (N - 1) u + u, so pruned_bound, taken from pruned_mass rounded up by
-    4 N u, stays a bound.  The atom attaining M always survives, since
-    cut < lam_lo * A^{-1}(1/w) = M, so the bracket holds for the kept atoms
-    too.  The root loop (module docstring) drives the kept modular to within
+    4 N u, stays a bound.  A cut below the normal range has too few bits to
+    bound what it drops, so it is taken as 0, dropping only atoms with f_i = 0.
+    A normal cut lies below lam_lo * A^{-1}(1/w) <= M, as tol / (4s) < 1/w and
+    A^{-1} increases, so the atom attaining M survives and the bracket holds
+    for the kept atoms too; a lam_lo that underflows to 0 raises NumericError.
+    The root loop (module docstring) drives the kept modular to within
     tol - pruned_bound of 1, so the full modular meets |modular(lam) - 1| <=
     tol, unless the bracket collapses to adjacent doubles first.  A bracket
     no wider than tol * lam then comes back FINITE with its residual, which
     exceeds tol where the evaluation noise (about q * 1e-16) does.
-    NumericError is raised only for a
-    residual above tol from a bracket still wider than tol * lam, which
-    takes a tol near one ULP.  iterations counts the evaluations of the
+    Otherwise NumericError comes only from the inverses or from a residual
+    above tol with a bracket still wider than tol * lam, which takes a tol
+    near one ULP.  iterations counts the evaluations of the
     kept modular, each over every kept atom; the inverses behind the bracket
     and the cut are not counted.
     """
     check_aligned(f, mu)
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    with closing(_BlockMap(len(f))) as blocks:
-        buf = blocks.buffers[0]  # the set-up runs on one thread
-        top, big, maxima, minima = _ess_sup(f.values, buf)
-        if big == 0.0:
-            return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
+    top, big, maxima, minima = _ess_sup(f.values)
+    if big == 0.0:
+        return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
 
-        mass = mu.total_mass
-        lo, hi = _closed_form_bracket(A, big, float(mu.weights[top]), mass, len(f))
-        cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
-        values, weights = f.values, mu.weights  # the kernel's atoms if nothing is dropped
-        signed, pruned_mass, pruned_bound = min(minima) < 0.0, 0.0, 0.0
-        # per block above the cut: (start, indices of its atoms |f_i| > cut, None for all)
-        mask, kept = np.empty(len(buf), bool), []
-        for i, block_max, block_min in zip(range(0, len(values), _BLOCK), maxima, minima):
-            if block_max > cut:  # else the block holds none
-                absf = values[i : i + _BLOCK]
-                if block_min < 0.0:
-                    absf = np.abs(absf, out=buf[: len(absf)])
-                keep = np.greater(absf, cut, out=mask[: len(absf)])
-                kept.append((i, None if keep.all() else i + keep.nonzero()[0]))
-        if len(kept) < len(maxima) or any(k is not None for _, k in kept):  # something dropped
-            index = [np.arange(i, min(i + _BLOCK, len(f))) if k is None else k for i, k in kept]
-            index = index[0] if len(index) == 1 else np.concatenate(index)
-            values, weights, signed = np.abs(f.values[index]), mu.weights[index], False
-            kept_mass = float(weights.sum())
-            if kept_mass <= 0.5 * mass:  # at least mass/2 is dropped: no cancellation
-                pruned_mass = mass - kept_mass
-            else:
-                dropped = np.ones(len(f), dtype=bool)
-                dropped[index] = False
-                pruned_mass = float(np.sum(mu.weights, where=dropped))
-            if cut > 0.0:  # else only atoms with f_i = 0 were dropped, and they add 0
-                rounded_up = pruned_mass * (1.0 + len(f) * 2.0**-51)  # times 1 + 4 N u
-                pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
-                assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
+    mass = mu.total_mass
+    lo, hi = _closed_form_bracket(A, big, float(mu.weights[top]), mass, len(f))
+    if lo == 0.0:
+        raise NumericError(f"luxemburg_norm: bracket [{lo!r}, {hi!r}] underflows at its lower end")
+    cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
+    if cut < sys.float_info.min:  # a subnormal cut has too few bits to bound what it drops
+        cut = 0.0
+    values, weights = f.values, mu.weights  # the kernel's atoms if nothing is dropped
+    signed, pruned_mass, pruned_bound = min(minima) < 0.0, 0.0, 0.0
+    kept = []  # per block above the cut: (start, indices of its atoms |f_i| > cut, None for all)
+    for i, block_max, block_min in zip(range(0, len(values), _BLOCK), maxima, minima):
+        if block_max > cut:  # else the block holds none
+            blk = values[i : i + _BLOCK]
+            keep = np.greater(np.abs(blk) if block_min < 0.0 else blk, cut)
+            kept.append((i, None if keep.all() else i + keep.nonzero()[0]))
+    keep = None  # the last block's mask is freed before the kernel allocates
+    if len(kept) < len(maxima) or any(k is not None for _, k in kept):  # something dropped
+        index = [np.arange(i, min(i + _BLOCK, len(f))) if k is None else k for i, k in kept]
+        index = index[0] if len(index) == 1 else np.concatenate(index)
+        values, weights, signed = np.abs(f.values[index]), mu.weights[index], False
+        kept_mass = float(weights.sum())
+        if kept_mass <= 0.5 * mass:  # at least mass/2 is dropped: no cancellation
+            pruned_mass = mass - kept_mass
+        else:
+            dropped = np.ones(len(f), dtype=bool)
+            dropped[index] = False
+            pruned_mass = float(np.sum(mu.weights, where=dropped))
+        if cut > 0.0:  # else only atoms with f_i = 0 were dropped, and they add 0
+            rounded_up = pruned_mass * (1.0 + len(f) * 2.0**-51)  # times 1 + 4 N u
+            pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
+            assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
 
-        newton = len(values) >= _NEWTON_MIN_ATOMS
-        with _modular_kernel(A, values, weights, big, signed, blocks, newton) as modular_at:
-            lam, h, lo, hi, evaluations = _solve(modular_at, newton, lo, hi, tol - pruned_bound)
+    newton = len(values) >= _NEWTON_MIN_ATOMS
+    with _modular_kernel(A, values, weights, big, signed, newton) as modular_at:
+        lam, h, lo, hi, evaluations = _solve(modular_at, newton, lo, hi, tol - pruned_bound)
     residual = abs(h) + pruned_bound
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(
@@ -397,7 +380,8 @@ def _closed_form_bracket(A: YoungFunction, big: float, w_top: float, mass: float
         L = math.log(A.shift + t) if A.q > 0.0 else 1.0  # a power's shift may be <= 1
         noise = abs(A.p * math.log(t)) + abs(target) + A.q * (abs(math.log(L)) + 1.0 + 1.0 / L)
         margin = (abs(res) + sum_error + 2.0**-50 * noise) / A.p + 2.0**-50
-        ends.append(min(big / t * math.exp(side * margin), sys.float_info.max))
+        # exp raises past 709, where hi is capped at the largest double anyway
+        ends.append(min(big / t * math.exp(min(side * margin, 709.0)), sys.float_info.max))
     return tuple(ends)
 
 

@@ -208,6 +208,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_extreme_q_is_numeric_error(self, capsys):
+        # the closed-form ends' margin overflows exp at q = 1e18: one error
+        # line and exit 2, not a traceback
+        assert run_cli("norm", "--preset", "indicator:1", "--q", "1e18") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_non_finite_schedule_reaches_stderr(self, capsys):
         assert run_cli("sweep", "--preset", "indicator:1", "--p", "1",
                        "--q-grid", "1:inf:3:log") == 1

@@ -1,8 +1,9 @@
+import itertools
 import math
 import sys
 import threading
 import tracemalloc
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import astuple
 
 import mpmath
@@ -116,11 +117,10 @@ def modular_oracle(A, values, weights, lam):
 
 @contextmanager
 def kernel_on(A, a, w, slope=False):
-    """The modular kernel over atoms a, w on a block map of its own."""
-    with closing(norm_module._BlockMap(len(a))) as blocks:
-        big, signed = float(np.abs(a).max()), bool(a.min() < 0.0)
-        with norm_module._modular_kernel(A, a, w, big, signed, blocks, slope) as kernel:
-            yield kernel
+    """The modular kernel over atoms a, w."""
+    big, signed = float(np.abs(a).max()), bool(a.min() < 0.0)
+    with norm_module._modular_kernel(A, a, w, big, signed, slope) as kernel:
+        yield kernel
 
 
 class TestModularKernel:
@@ -313,9 +313,9 @@ def kept_atoms(monkeypatch, A, f, mu):
     kernel, greater = norm_module._modular_kernel, np.greater
 
     @contextmanager
-    def recording_kernel(A, a, w, big, signed, blocks, slope=False):
+    def recording_kernel(A, a, w, big, signed, slope=False):
         kernels.append((a.copy(), w.copy()))
-        with kernel(A, a, w, big, signed, blocks, slope) as modular_at:
+        with kernel(A, a, w, big, signed, slope) as modular_at:
             yield modular_at
 
     def recording_greater(*args, **kwargs):
@@ -347,20 +347,20 @@ class TestShardedKernel:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_shards_change_no_number(self, monkeypatch, pool_tasks, cpus):
-        # cpus = 8 gives more threads than the input has blocks
+        # the input's 3 whole blocks give min(cpus, 3) threads: cpus = 8 is
+        # capped by the blocks
         mu, f = mixed_instance(seed=11, n=self.N)
         monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
         serial = self.results(mu, f)
         assert not pool_tasks
         monkeypatch.setattr(norm_module, "_cpus", lambda: cpus)
-        monkeypatch.setattr(norm_module, "_SHARD_ATOMS", 1)
         assert self.results(mu, f) == serial
         assert bool(pool_tasks) == (cpus > 1)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("case", sorted(SET_UP_CASES))
     def test_set_up_changes_no_number(self, monkeypatch, pool_tasks, case, cpus):
-        # the set-up's two passes run on the map's blocks, the kernel on its
+        # the set-up's two passes run on the calling thread, the kernel on its
         # threads: every result is bit-identical to the serial solve, the pool
         # is made only for a kernel of two threads, and the kept atoms are
         # those of a numpy mask |f| > cut (strictly), gathered in index order
@@ -371,10 +371,9 @@ class TestShardedKernel:
         serial = hexed(luxemburg_norm(A, f, mu)), modular(A, f, mu, 0.7).hex()
         assert not pool_tasks
         monkeypatch.setattr(norm_module, "_cpus", lambda: cpus)
-        monkeypatch.setattr(norm_module, "_SHARD_ATOMS", 1)
         res, kernels, compared = kept_atoms(monkeypatch, A, f, mu)
         kept = len(kernels[0][0]) if kernels else 0
-        assert bool(pool_tasks) == (cpus > 1 and kept > norm_module._BLOCK)
+        assert bool(pool_tasks) == (cpus > 1 and kept >= 2 * norm_module._BLOCK)
         assert (hexed(res), modular(A, f, mu, 0.7).hex()) == serial
 
         absf = np.abs(values)
@@ -391,7 +390,7 @@ class TestShardedKernel:
 
     def test_small_inputs_use_no_pool(self, pool_tasks):
         # solves of q-ladder (32 atoms) and sweep-100k (1e5 atoms) size run on
-        # the calling thread on any machine: 1e5 atoms make one shard
+        # the calling thread on any machine: 1e5 atoms hold one whole block
         for n in (32, 100_000):
             mu, f = mixed_instance(seed=n, n=n)
             for q in (1.0, 100.0, 1e5):
@@ -406,7 +405,7 @@ class TestShardedKernel:
         # enters the kernel's state itself (the suite turns warnings into errors)
         monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
         rng = np.random.default_rng(4)
-        n = 2 * norm_module._SHARD_ATOMS
+        n = 2 * norm_module._BLOCK
         values = rng.uniform(0.5, 1.0, n)
         values[::7] = 0.0
         mu, f = atoms(values, rng.uniform(0.1, 1.0, n) / n)
@@ -418,7 +417,7 @@ class TestShardedKernel:
     def test_concurrent_solves(self, monkeypatch, pool_tasks):
         # two Python threads solve different inputs at once, each kernel
         # with a pool of its own, and match their serial results
-        n = 2 * norm_module._SHARD_ATOMS + 5
+        n = 2 * norm_module._BLOCK + 5
         inputs = [mixed_instance(seed, n) for seed in (1, 2)]
         monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
         expected = [self.results(mu, f) for mu, f in inputs]
@@ -590,6 +589,15 @@ class TestLuxemburgNorm:
         res = luxemburg_norm(YoungFunction.log_bump(1, 1e5), f, mu)
         assert res.value == pytest.approx(0.9999811590426955, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("q", [1e18, 1e300])
+    def test_q_past_closed_form_margin(self, p, q):
+        # the margin of the closed-form ends is about 2^-50 * 2q / p, past
+        # where exp overflows: hi is capped and lo underflows to 0
+        mu, f = atoms([1.0], [1.0])
+        with pytest.raises(NumericError, match=r"bracket \[0\.0, .*\] underflows"):
+            luxemburg_norm(YoungFunction.log_bump(p, q), f, mu)
+
     def test_homogeneity(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -654,10 +662,10 @@ def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
     kernel = norm_module._modular_kernel
 
     @contextmanager
-    def recording_kernel(A, a, w, big, signed, blocks, slope=False):
+    def recording_kernel(A, a, w, big, signed, slope=False):
         lams = []
         kernels.append((np.size(a), slope, lams))
-        with kernel(A, a, w, big, signed, blocks, slope) as modular_at:
+        with kernel(A, a, w, big, signed, slope) as modular_at:
 
             def recorded(lam):
                 lams.append(lam)
@@ -821,8 +829,8 @@ class TestPruning:
     @pytest.mark.parametrize("q", [1.0, 1e5])
     def test_allocation(self, q):
         # tracemalloc sees numpy's buffers.  The set-up takes |f| of a block
-        # into a buffer, and the cut a mask of one block (9 B per block atom),
-        # and the kernel adds a second buffer for the slope: with one atom
+        # and the cut a mask of one block (9 B per block atom), freed before
+        # the kernel makes its buffer and a second for the slope: with one atom
         # kept (q = 1e5) nothing is N-sized, and with nothing pruned (q = 1)
         # only the kernel's log weights (8 B/atom) are; a whole-array |f|,
         # mask, index or gather would exceed that
@@ -848,10 +856,10 @@ class TestPruning:
 
     def test_allocation_sharded(self, monkeypatch, pool_tasks):
         # on two threads each owns a block buffer and, for the slope, the
-        # kernel's second one; beside them the cut's mask of one block and the
-        # serial solve's log weights.  At q = 1e5 the kernel is serial: no pool
+        # kernel's second one; beside them the serial solve's log weights and
+        # a block's slack.  At q = 1e5 the kernel is serial: no pool
         monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
-        n, block = 4 * norm_module._SHARD_ATOMS, norm_module._BLOCK
+        n, block = 4 * norm_module._BLOCK, norm_module._BLOCK
         mu, f = lognormal_instance(seed=3, n=n)
         for q, bound in ((1.0, 8 * n + 33 * block), (1e5, 17 * block)):
             A = YoungFunction.log_bump(2.0, q)
@@ -876,6 +884,30 @@ class TestPruning:
         res = luxemburg_norm(YoungFunction.power(1), f, mu, PRUNE_TOL)
         assert res.pruned_mass == 1e15 and res.pruned_bound == 0.0
         assert res.value == pytest.approx(1e-300, rel=PRUNE_TOL)
+
+    def test_subnormal_values(self):
+        # a subnormal cut, which has too few bits to bound what it drops, is
+        # taken as 0; a lower end that underflows to 0 raises: every input
+        # gives a FINITE result or a NumericError, and nothing else
+        grid = [5e-324, 1e-323, 1.5e-323, 2e-323, 1e-320, 2.2e-308]
+        weights = [[1.0, 1.0], [0.3, 0.5], [1.0, 1e-3], [1e-3, 1.0]]
+        outcomes = set()
+        for a, b in itertools.product(grid, grid):
+            for w, q in itertools.product(weights, [0.0, 1.0, 1e5, 1e9]):
+                mu, f = atoms([a, b], w)
+                try:
+                    res = luxemburg_norm(YoungFunction.log_bump(1.0, q), f, mu)
+                except NumericError:
+                    outcomes.add("NumericError")
+                else:
+                    outcomes.add(res.status)
+                    assert res.bracket_lo <= res.value <= res.bracket_hi
+        assert outcomes == {NormStatus.FINITE, "NumericError"}
+        mu, f = atoms([5e-324], [1.0])
+        assert luxemburg_norm(YoungFunction.log_bump(1.0, 1e5), f, mu).value == 5e-324
+        mu, f = atoms([5e-324, 5e-324], [0.3, 0.5])
+        with pytest.raises(NumericError, match=r"bracket \[0\.0, 5e-324\] underflows"):
+            luxemburg_norm(YoungFunction.log_bump(1.0, 0.0), f, mu)
 
 
 NEWTON_N = norm_module._NEWTON_MIN_ATOMS  # fewest kept atoms that take Newton steps
@@ -975,8 +1007,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def flat_kernel(A, a, w, big, signed, blocks, slope=False):
-            with kernel(A, a, w, big, signed, blocks, slope) as modular_at:
+        def flat_kernel(A, a, w, big, signed, slope=False):
+            with kernel(A, a, w, big, signed, slope) as modular_at:
 
                 def flat(lam):
                     m, d = modular_at(lam)
@@ -999,8 +1031,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def overflowing_kernel(A, a, w, big, signed, blocks, slope=False):
-            with kernel(A, a, w, big, signed, blocks, slope) as modular_at:
+        def overflowing_kernel(A, a, w, big, signed, slope=False):
+            with kernel(A, a, w, big, signed, slope) as modular_at:
                 calls = []
 
                 def overflowing(lam):
