@@ -7,7 +7,7 @@ the solver targets the equation directly, in log scale from an
 analytically certified bracket, since lam is a positive scale whose
 accuracy is relative and the bracket can span hundreds of decades.  The
 package's one root loop, young._root, narrows that bracket: it bisects, or
-from 2^10 kept atoms on evaluates Newton proposals that land inside it.
+on inputs of 2^10 atoms or more evaluates Newton proposals that land inside it.
 
 Every pass over the atoms runs in blocks of 2^16.  The set-up's
 memory-bound passes run on the calling thread; the kernel shares its blocks
@@ -36,11 +36,11 @@ whole in the log domain, so it is inf only when that itself overflows, and
 0 when it underflows; f_i = 0 gives 0.  Where max|f|/lam overflows,
 log(shift + |f_i|/lam) is taken as logaddexp(log|f_i| - log lam, log shift).
 
-With at least _NEWTON_MIN_ATOMS kept atoms the loop takes Newton
-proposals (_solve).  By the delta substitution the slope
+On an input of at least _NEWTON_MIN_ATOMS atoms, however few are kept,
+the loop takes Newton proposals (_solve).  By the delta substitution the slope
 d log A / d log t = p + q t / ((shift + t) log(shift + t)) is closed form,
 so the kernel sums the modular's slope in the same pass, and the loop
-starts at lo, where the modular is >= 1.  Smaller solves bisect: the
+starts at lo, where the modular is >= 1.  Smaller inputs bisect: the
 benchmark keeps a record per q-ladder call (2-32 atoms), so that a speed-up
 past 2.5x reads as a peak_rss_mb regression, and on small inputs the gaps
 |norm - M| that limit_sweep compares at large q are where bisection stops.
@@ -74,8 +74,8 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 _BLOCK = 1 << 16  # atoms per kernel block; its 512 KB buffer stays in cache
-# kept atoms from which the solver takes Newton steps; smaller solves bisect for
-# q-ladder's per-call records and limit_sweep's gaps (module docstring)
+# input atoms from which the solver takes Newton steps, pruned or not; smaller
+# inputs bisect for q-ladder's per-call records and limit_sweep's gaps (module docstring)
 _NEWTON_MIN_ATOMS = 1 << 10
 
 
@@ -313,7 +313,9 @@ def luxemburg_norm(
     exceeds tol where the evaluation noise (about q * 1e-16) does.
     Otherwise NumericError comes only from the inverses or from a residual
     above tol with a bracket still wider than tol * lam, which takes a tol
-    near one ULP.  iterations counts the evaluations of the
+    near one ULP.  On the Newton path a residual within tol narrows the
+    bracket to lam exp(+-((|log S| + eps)/p + 2^-50)), eps from _log_sum_error,
+    as F = log S has F' >= p in u.  iterations counts the evaluations of the
     kept modular, each over every kept atom; the inverses behind the bracket
     and the cut are not counted.
     """
@@ -356,7 +358,7 @@ def luxemburg_norm(
             pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
 
-    newton = len(values) >= _NEWTON_MIN_ATOMS
+    newton = len(f) >= _NEWTON_MIN_ATOMS
     with _modular_kernel(A, values, weights, big, signed, newton) as modular_at:
         lam, h, lo, hi, evaluations = _solve(modular_at, newton, lo, hi, tol - pruned_bound)
     residual = abs(h) + pruned_bound
@@ -365,6 +367,9 @@ def luxemburg_norm(
             f"luxemburg_norm stalled: bracket [{lo!r}, {hi!r}], "
             f"residual {residual:.3e} > tol {tol:g}"
         )
+    if newton and residual <= tol:  # F' >= p: the root is within (|log S| + eps)/p of lam in u
+        m = min((abs(math.log1p(-h)) + _log_sum_error(A, big, lam, len(values))) / A.p, 709.0)
+        lo, hi = max(lo, lam * math.exp(-m - 2.0**-50)), min(hi, lam * math.exp(m + 2.0**-50))
     return NormResult(
         lam, lo, hi, residual, evaluations, NormStatus.FINITE, pruned_mass, pruned_bound
     )
@@ -385,12 +390,24 @@ def _closed_form_bracket(A: YoungFunction, big: float, w_top: float, mass: float
     return tuple(ends)
 
 
+def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int) -> float:
+    """eps >= the kernel's rounding error in log S at lam over n kept atoms,
+    derived as _closed_form_bracket's: 2 (n - 1) u for the sum, and for a
+    term 2^-50 (|log w_i| + p (|log a_i| + 2 |log M| + |log lam|) + q (|log L_i|
+    + 1 + 1/L_i)), with |log| <= 745 for a double and log shift <= L_i <= L(M)."""
+    noise = 745.0 + A.p * (745.0 + 2.0 * abs(math.log(big)) + abs(math.log(lam)))
+    if A.q > 0.0:  # L(M) is inf where M/lam overflows, and so is eps
+        low, top = math.log(A.shift), math.log(A.shift + big / lam)
+        noise += A.q * (max(abs(math.log(low)), abs(math.log(top))) + 1.0 + 1.0 / low)
+    return (n - 1) * 2.0**-52 + 2.0**-50 * noise
+
+
 def _solve(modular_at, newton: bool, lo: float, hi: float, tol: float):
     """Root of modular_at(lam) = 1, the kept modular, in the certified
     bracket [lo, hi], to |residual| <= tol, as luxemburg_norm describes.
 
     Returns (lam, 1 - modular(lam), lo, hi, evaluations) with the final
-    bracket, from young._root.  With newton (from _NEWTON_MIN_ATOMS kept
+    bracket, from young._root.  With newton (from _NEWTON_MIN_ATOMS input
     atoms on) the kernel also returns the slope sum D, and the loop starts
     at lo, where the modular S is >= 1, and takes Newton steps in
     u = log(M / lam): F(u) = log S increases with F' = D / S, so a step

@@ -113,7 +113,7 @@ class YoungFunction:
 
         d log A / d log t = p + q t / ((shift + t) log(shift + t)) >= p, so
         the root lies between t = 1 and t = exp((log y - log A(1)) / p);
-        log A is bisected in log scale on that bracket (_root).  The
+        Newton steps in log t from t = 1 narrow that bracket (_solve_log).  The
         returned t satisfies |A(t) - y| <= tol * max(1, y) whenever tol sits
         above the evaluation noise floor (about q * 1e-16 relative for
         extreme q); below that floor the bracket is refined to one ULP,
@@ -176,18 +176,30 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
 def _solve_log(A: YoungFunction, target: float, tol_log: float) -> tuple[float, float]:
     """(t, log A(t) - target): t > 0 with log A(t) = target, to |residual| <= tol_log or one ULP.
 
-    The bracket end exp((target - log A(1)) / p) is clamped to the double
-    range; a root beyond the clamp leaves a log-residual that raises
-    NumericError.
+    Newton steps in log t from t = 1 (_root), with the slope d log A / d log t
+    = p + q t / ((shift + t) log(shift + t)) >= p: the first lands between 1
+    and the bracket end exp((target - log A(1)) / p), on the root when q = 0.
+    That end is clamped to the double range; a root beyond the clamp leaves
+    a log-residual that raises NumericError.
     """
+    last = ()  # (t, g(t)) of the latest evaluation
 
     def g(t):
-        return A.log_value(t) - target
+        nonlocal last
+        last = (t, A.log_value(t) - target)
+        return last[1]
+
+    def step():
+        t, r = last
+        slope = A.p + (A.q * (t / (A.shift + t)) / math.log(A.shift + t) if A.q > 0.0 else 0.0)
+        s = t * math.exp(min(max(-r / slope, -745.0), 709.0))
+        # a step below half an ULP, which noise above tol_log leaves: the next double
+        return s if s != t or r == 0.0 else math.nextafter(t, 0.0 if r > 0.0 else math.inf)
 
     g1 = g(1.0)
     end = math.exp(min(max(-g1 / A.p, -745.0), 709.0))  # finite and nonzero
     lo, g_lo, hi, g_hi = (1.0, g1, end, math.inf) if g1 < 0.0 else (end, math.inf, 1.0, g1)
-    t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi)
+    t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi, x=step(), step=step)
     if abs(res) > max(tol_log, 1e-6):
         # bracket collapsed far from the target, or the root is past the clamp
         raise NumericError(

@@ -498,14 +498,16 @@ class TestLuxemburgNorm:
         assert res.bracket_hi - res.bracket_lo <= 1e-10 * res.value
 
     def test_swapped_closed_form_ends(self):
-        # the total mass is one ULP above the top weight and the inverse holds
-        # to 1e-12 only, so big / A^{-1}(1/w) would put lo above hi; the ends,
-        # moved outward past the inverse's residual, hold the exact norm
-        # w0 + w1/2 (one ULP above w0, so exact in doubles)
+        # the total mass is one ULP above the top weight, so the raw ends
+        # big / A^{-1}(1/w) lie within a few ULPs of each other, and an inverse
+        # off by one ULP would put lo above hi; the ends, moved outward past
+        # the inverse's residual, hold the exact norm w0 + w1/2 (one ULP above
+        # w0, so exact in doubles)
         w = [0.9336002244460524, 2.220446049250313e-16]
         mu, f = atoms([1.0, 0.5], w)
         A = YoungFunction.power(1)
-        assert 1.0 / A.inverse(1.0 / w[0]) > 1.0 / A.inverse(1.0 / mu.total_mass)
+        raw_lo, raw_hi = (1.0 / A.inverse(1.0 / m) for m in (w[0], mu.total_mass))
+        assert abs(raw_lo - raw_hi) <= 4 * math.ulp(raw_lo)
         res = luxemburg_norm(A, f, mu)
         assert res.status is NormStatus.FINITE and res.residual <= 1e-10
         assert res.bracket_lo <= w[0] + 0.5 * w[1] <= res.bracket_hi
@@ -910,7 +912,7 @@ class TestPruning:
             luxemburg_norm(YoungFunction.log_bump(1.0, 0.0), f, mu)
 
 
-NEWTON_N = norm_module._NEWTON_MIN_ATOMS  # fewest kept atoms that take Newton steps
+NEWTON_N = norm_module._NEWTON_MIN_ATOMS  # fewest input atoms that take Newton steps
 
 # atom values from a cluster in [0.9, 1), which no tested p, q prunes
 NEWTON_CASES = {
@@ -937,8 +939,8 @@ def check_certified(A, values, weights, res, kernels, tol=PRUNE_TOL):
     atoms, and the long-double oracle confirms the final bracket and the
     value.  An end that is also the value is a closed-form end, accepted on
     its residual, and held to its side all the same."""
-    [(kept, slope, lams)] = kernels
-    assert slope == (kept >= NEWTON_N)
+    [(_, slope, lams)] = kernels
+    assert slope == (len(values) >= NEWTON_N)
     assert res.iterations == len(lams)
     assert res.status is NormStatus.FINITE and res.residual <= tol
     assert abs(modular_longdouble(A, values, weights, res.value) - 1.0) <= tol
@@ -947,9 +949,10 @@ def check_certified(A, values, weights, res, kernels, tol=PRUNE_TOL):
 
 
 class TestCoarseStart:
-    """From NEWTON_N kept atoms on, luxemburg_norm takes safeguarded Newton
-    steps from the closed-form lo instead of bisecting (the class keeps the
-    name of the coarse start those steps replaced)."""
+    """From NEWTON_N input atoms on, luxemburg_norm takes safeguarded Newton
+    steps from the closed-form lo instead of bisecting, however few atoms
+    pruning keeps (the class keeps the name of the coarse start those steps
+    replaced)."""
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 10.0, 100.0])
     @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
@@ -976,15 +979,43 @@ class TestCoarseStart:
             assert res.pruned_mass == 0.0 and slope
             assert res.iterations <= 6
 
+    @pytest.mark.parametrize("q", [100.0, 1e5])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
+    def test_pruned_large_input_takes_newton_steps(self, monkeypatch, p, q):
+        # pruning keeps fewer than NEWTON_N of 1e5 atoms, whose root lies near
+        # lo; Newton steps from lo reach it where bisection took 33 to 38.
+        # The steps never evaluate hi, yet the slope floor p narrows the
+        # bracket from the closed-form hi, up to 1.3 times the value
+        mu, f = lognormal_instance(seed=4, n=100_000)
+        A = YoungFunction.log_bump(p, q)
+        res, kernels = traced_norm(monkeypatch, A, f, mu)
+        [(kept, slope, _)] = kernels
+        assert kept < NEWTON_N and slope
+        assert res.iterations <= 4
+        assert res.bracket_hi - res.bracket_lo <= 1e-9 * res.value
+        check_certified(A, f.values, mu.weights, res, kernels)
+
+    @pytest.mark.parametrize("n", [3, 32, NEWTON_N - 1])
+    def test_small_inputs_bisect(self, monkeypatch, n):
+        mu, f = lognormal_instance(seed=5, n=n)
+        for q in (0.0, 100.0, 1e5):
+            A = YoungFunction.log_bump(2.0, q)
+            res, kernels = traced_norm(monkeypatch, A, f, mu)
+            [(_, slope, _)] = kernels
+            assert not slope
+            check_certified(A, f.values, mu.weights, res, kernels)
+
     def test_step_past_hi_evaluates_hi(self, monkeypatch):
         # on equal values the closed-form hi is the root; the first step
-        # from lo lands on or past it, so hi is evaluated and returned
+        # from lo lands on or past it, so hi is evaluated and returned; the
+        # slope floor p then raises the unevaluated lo toward it
         values, weights = newton_case("all_equal")
         mu, f = atoms(values, weights)
         A = YoungFunction.log_bump(2, 1)
         res, kernels = traced_norm(monkeypatch, A, f, mu)
         [(_, _, lams)] = kernels
-        assert lams == [res.bracket_lo, res.bracket_hi] and res.value == res.bracket_hi
+        assert len(lams) == 2 and lams[1] == res.bracket_hi == res.value
+        assert res.bracket_lo >= lams[0]
         check_certified(A, values, weights, res, kernels)
 
     def test_precision_exhausted(self, monkeypatch):

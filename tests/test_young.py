@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -202,6 +203,32 @@ class TestInverse:
         # bracket collapses with the log-residual above the 1e-6 guard
         with pytest.raises(NumericError, match=r"did not converge: log-residual .* \(bracket \["):
             YoungFunction.log_bump(1, 1e13).inverse(2.0)
+
+    def test_newton_grid(self, monkeypatch):
+        # Newton steps in log t take a few log_value calls where bisection
+        # took 50, and a step that rounds to its start moves one double, not
+        # to the midpoint (62 calls at p = 100, q = 1e5 without that).  Each
+        # t meets the default tol in a 40-digit log-residual or, where the
+        # evaluation noise (q >= 1e5) or one ULP of t (p = 1e4) exceeds it,
+        # lies within 3 ULPs of the exact root
+        calls = []
+        log_value = YoungFunction.log_value
+        monkeypatch.setattr(YoungFunction, "log_value", lambda A, t: calls.append(t) or log_value(A, t))
+        counts = []
+        for p, q in itertools.product([1.0, 2.0, 100.0, 1e4], [0.0, 1.0, 100.0, 1e5, 1e9]):
+            A = YoungFunction.log_bump(p, q)
+            for k in range(-300, 301, 25):
+                calls.clear()
+                y = 10.0**k
+                t = A.inverse(y)
+                counts.append(len(calls))
+                with mpmath.workdps(40):
+                    shift, log_y = mpmath.mpf(A.shift), mpmath.log(y)
+                    F = lambda u: p * u + q * mpmath.log(mpmath.log(shift + mpmath.exp(u))) - log_y
+                    u = mpmath.log(t)
+                    ulps = abs(t - mpmath.exp(mpmath.findroot(F, u))) / math.ulp(t)
+                    assert abs(F(u)) <= 1e-12 or ulps <= 3, (p, q, k)
+        assert len(counts) == 500 and sum(counts) / len(counts) <= 10 and max(counts) <= 12
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
     def test_nonpositive_tol_rejected(self, tol):
