@@ -98,9 +98,11 @@ def check_aligned(f: SampledFunction, mu: DiscreteMeasure) -> None:
 
 
 def ess_sup(f: SampledFunction, mu: DiscreteMeasure) -> float:
-    """Essential supremum of |f|: the max over atoms, all of positive weight."""
+    """Essential supremum of |f|: the max over atoms, all of positive weight.
+    Taken as max(max f, -min f), exactly max |f_i| with no N-sized |f|; the
+    leading 0.0 makes it +0.0 where every f_i is a zero of either sign."""
     check_aligned(f, mu)
-    return float(np.abs(f.values).max())
+    return max(0.0, float(f.values.max()), -float(f.values.min()))
 
 
 def level_set_measure(f: SampledFunction, mu: DiscreteMeasure, lam: float) -> float:

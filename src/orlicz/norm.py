@@ -9,19 +9,21 @@ accuracy is relative and the bracket can span hundreds of decades.  The
 package's one root loop, young._root, narrows that bracket: it bisects, or
 on inputs of 2^10 atoms or more evaluates Newton proposals that land inside it.
 
-Every pass over the atoms runs in blocks of 2^16.  The set-up's
-memory-bound passes run on the calling thread; the kernel shares its blocks
-among min(CPUs, N // 2^16) threads, N its atoms, since a thread pays only
-for a whole block of its own.  From two on, the kernel makes its one
-thread pool, whose threads and the caller each take the next block not yet
-taken, in parallel since numpy's ufuncs release the GIL.  Results come back
-in block order and sums are added in it, so the thread count changes no
-result.
+Every pass over the atoms runs in blocks of at most 2^16.  The set-up's
+memory-bound passes run on the calling thread; the kernel cuts its N atoms
+into ceil(N / 2^16) blocks of equal size, a partition that depends on N
+alone, and shares them among min(CPUs, blocks) threads, so from 2^16 + 1
+atoms two CPUs share the work.  From two threads on, the kernel makes its
+one thread pool, whose threads and the caller each take the next block not
+yet taken, in parallel since numpy's ufuncs release the GIL.  Results come
+back in block order and sums are added in it, so the thread count changes
+no result.
 
 The set-up forms no whole-array |f|: a first pass takes each block's
 maximum and minimum, then the top atom in the first block attaining
 M = max |f|; a second, after the pruning cut, visits only the blocks whose
-maximum is above it, gathering the kept atoms in block order.  At large q
+maximum is above it, gathering the kept atoms in block order, and masks
+none whose minimum is above it too.  At large q
 only the atoms near ess sup |f| are kept: the pointwise domination behind
 the paper's upper bound.
 
@@ -40,7 +42,12 @@ On an input of at least _NEWTON_MIN_ATOMS atoms, however few are kept,
 the loop takes Newton proposals (_solve).  By the delta substitution the slope
 d log A / d log t = p + q t / ((shift + t) log(shift + t)) is closed form,
 so the kernel sums the modular's slope in the same pass, and the loop
-starts at lo, where the modular is >= 1.  Smaller inputs bisect: the
+starts at lo, where the modular is >= 1, so that evaluating it cannot
+move the bracket and only proposes the first step.  From _SEED_MIN_ATOMS
+kept atoms that step comes instead from the modular and its slope at lo
+on a strided sample of about 2^11 of them (_seed), and the loop starts
+there if it lies inside the bracket: one full evaluation fewer, 3 instead
+of 4 on 1e5 and 1e6 lognormal atoms at q = 1.  Smaller inputs bisect: the
 benchmark keeps a record per q-ladder call (2-32 atoms), so that a speed-up
 past 2.5x reads as a peak_rss_mb regression, and on small inputs the gaps
 |norm - M| that limit_sweep compares at large q are where bisection stops.
@@ -73,10 +80,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-_BLOCK = 1 << 16  # atoms per kernel block; its 512 KB buffer stays in cache
+_BLOCK = 1 << 16  # most atoms per block; a kernel block's 512 KB buffer stays in cache
 # input atoms from which the solver takes Newton steps, pruned or not; smaller
 # inputs bisect for q-ladder's per-call records and limit_sweep's gaps (module docstring)
 _NEWTON_MIN_ATOMS = 1 << 10
+# kept atoms from which the first step comes from a strided sample of about
+# _SEED_SAMPLE of them, not from an evaluation at lo (module docstring)
+_SEED_MIN_ATOMS, _SEED_SAMPLE = _BLOCK + 1, 1 << 11
 
 
 class NormStatus(Enum):
@@ -145,16 +155,18 @@ def _modular_kernel(
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
     two_buffers = slope and q > 0.0  # the slope sum keeps r_i apart from the term
     c = np.empty(len(a))
+    blocks = -(-len(a) // _BLOCK)
+    size = -(-len(a) // blocks)  # blocks of equal size: the partition depends on N alone
 
     def thread_views():
         """Every block as (w_blk, a_blk, c_blk, t, term), t and term in one
         thread's buffers of one block: term is t unless the slope needs both."""
-        buf = np.empty(min(len(a), _BLOCK))
-        ell = np.empty(len(buf)) if two_buffers else buf
+        buf = np.empty(size)
+        ell = np.empty(size) if two_buffers else buf
         views = []
-        for i in range(0, len(a), _BLOCK):
+        for i in range(0, len(a), size):
             t = buf[: len(a) - i]
-            blk = slice(i, i + _BLOCK)
+            blk = slice(i, i + size)
             views.append((w[blk], a[blk], c[blk], t, ell[: len(t)] if two_buffers else t))
         return views
 
@@ -200,9 +212,7 @@ def _modular_kernel(
         total = float(np.add.reduce(np.exp(term, out=term)))
         return total, float(np.add.reduce(np.multiply(t, term, out=t))) if two_buffers else 0.0
 
-    threads = max(1, len(a) // _BLOCK)  # a thread pays only for a whole block
-    if threads > 1:
-        threads = min(threads, _cpus())
+    threads = min(blocks, _cpus()) if blocks > 1 else 1
     views = [thread_views() for _ in range(threads)]
     pool = None
     if threads > 1:
@@ -317,7 +327,7 @@ def luxemburg_norm(
     bracket to lam exp(+-((|log S| + eps)/p + 2^-50)), eps from _log_sum_error,
     as F = log S has F' >= p in u.  iterations counts the evaluations of the
     kept modular, each over every kept atom; the inverses behind the bracket
-    and the cut are not counted.
+    and the cut, and the seed's sample, are not counted.
     """
     check_aligned(f, mu)
     if not tol > 0.0:
@@ -333,11 +343,13 @@ def luxemburg_norm(
     cut = lo * A.inverse(0.25 * tol / mass, tol=1e-3)
     if cut < sys.float_info.min:  # a subnormal cut has too few bits to bound what it drops
         cut = 0.0
-    values, weights = f.values, mu.weights  # the kernel's atoms if nothing is dropped
+    values, weights, kept_mass = f.values, mu.weights, mass  # the kernel's if nothing is dropped
     signed, pruned_mass, pruned_bound = min(minima) < 0.0, 0.0, 0.0
     kept = []  # per block above the cut: (start, indices of its atoms |f_i| > cut, None for all)
     for i, block_max, block_min in zip(range(0, len(values), _BLOCK), maxima, minima):
-        if block_max > cut:  # else the block holds none
+        if block_min > cut:  # f_i >= block_min > cut >= 0 for all: no mask
+            kept.append((i, None))
+        elif block_max > cut:  # else the block holds none
             blk = values[i : i + _BLOCK]
             keep = np.greater(np.abs(blk) if block_min < 0.0 else blk, cut)
             kept.append((i, None if keep.all() else i + keep.nonzero()[0]))
@@ -358,16 +370,19 @@ def luxemburg_norm(
             pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
 
-    newton = len(f) >= _NEWTON_MIN_ATOMS
-    with _modular_kernel(A, values, weights, big, signed, newton) as modular_at:
-        lam, h, lo, hi, evaluations = _solve(modular_at, newton, lo, hi, tol - pruned_bound)
+    start = lo if len(f) >= _NEWTON_MIN_ATOMS else None
+    if len(values) >= _SEED_MIN_ATOMS:
+        x = _seed(A, values, weights, big, float(mu.weights[top]), kept_mass, lo)
+        start = x if lo < x < hi else lo
+    with _modular_kernel(A, values, weights, big, signed, start is not None) as modular_at:
+        lam, h, lo, hi, evaluations = _solve(modular_at, start, lo, hi, tol - pruned_bound)
     residual = abs(h) + pruned_bound
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(
             f"luxemburg_norm stalled: bracket [{lo!r}, {hi!r}], "
             f"residual {residual:.3e} > tol {tol:g}"
         )
-    if newton and residual <= tol:  # F' >= p: the root is within (|log S| + eps)/p of lam in u
+    if start is not None and residual <= tol:  # F' >= p: the root is within (|log S| + eps)/p in u
         m = min((abs(math.log1p(-h)) + _log_sum_error(A, big, lam, len(values))) / A.p, 709.0)
         lo, hi = max(lo, lam * math.exp(-m - 2.0**-50)), min(hi, lam * math.exp(m + 2.0**-50))
     return NormResult(
@@ -402,18 +417,37 @@ def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int) -> float:
     return (n - 1) * 2.0**-52 + 2.0**-50 * noise
 
 
-def _solve(modular_at, newton: bool, lo: float, hi: float, tol: float):
+def _seed(A, values, weights, big, w_top, kept_mass, lo):
+    """The Newton step from lo on a strided sample of about _SEED_SAMPLE kept
+    atoms, scaled to the kept mass less the top atom's weight, whose largest
+    gives way to the top atom at its own weight.  Its kernel is freed on return."""
+    k = len(values) // _SEED_SAMPLE
+    a, w = np.abs(values[::k]), weights[::k] * ((kept_mass - w_top) / float(weights[::k].sum()))
+    j = int(np.argmax(a))
+    a[j], w[j] = big, w_top
+    with _modular_kernel(A, a, w, big, False, slope=True) as sample_at:
+        return _newton_step(lo, *sample_at(lo))
+
+
+def _newton_step(lam: float, m: float, d: float) -> float:
+    """The Newton step in u = log(M / lam) from (S, D) = (m, d) at lam:
+    F(u) = log S increases with F' = D / S, so it multiplies lam by
+    exp(log S * S / D); nan where S is 0 or inf, which _root rejects."""
+    u = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
+    return lam * math.exp(min(u, 709.0))  # exp raises past 709
+
+
+def _solve(modular_at, start, lo: float, hi: float, tol: float):
     """Root of modular_at(lam) = 1, the kept modular, in the certified
     bracket [lo, hi], to |residual| <= tol, as luxemburg_norm describes.
 
     Returns (lam, 1 - modular(lam), lo, hi, evaluations) with the final
-    bracket, from young._root.  With newton (from _NEWTON_MIN_ATOMS input
-    atoms on) the kernel also returns the slope sum D, and the loop starts
-    at lo, where the modular S is >= 1, and takes Newton steps in
-    u = log(M / lam): F(u) = log S increases with F' = D / S, so a step
-    multiplies lam by exp(log S * S / D).  Otherwise the loop bisects.
+    bracket, from young._root.  With a start (from _NEWTON_MIN_ATOMS input
+    atoms on: lo, or the step from it that _seed proposes) the kernel also
+    returns the slope sum D, and the loop evaluates start first, then takes
+    Newton steps (_newton_step).  Otherwise the loop bisects.
     """
-    if newton:
+    if start is not None:
         last = ()  # (lam, S, D) of the latest evaluation
 
         def g(lam):
@@ -421,12 +455,7 @@ def _solve(modular_at, newton: bool, lo: float, hi: float, tol: float):
             last = (lam, *modular_at(lam))
             return 1.0 - last[1]
 
-        def step():
-            lam, m, d = last
-            u = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
-            return lam * math.exp(min(u, 709.0))  # exp raises past 709; _root rejects nan
-
-        return _root(g, lo, hi, tol, x=lo, step=step)
+        return _root(g, lo, hi, tol, x=start, step=lambda: _newton_step(*last))
     return _root(lambda lam: 1.0 - modular_at(lam), lo, hi, tol)
 
 

@@ -90,6 +90,16 @@ class TestEssSup:
         mu, f = atoms([1, 1, 1], [0.1, 5, 0.2])
         assert ess_sup(f, mu) == 1.0
 
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0], [0.0, -0.0], [-0.0, 0.0], [-2.5, 2.5], [2.5, -2.5], [-1e-320, 5e-324], [-7.0]],
+    )
+    def test_bit_identical_to_abs_max(self, values):
+        # max(max f, -min f) forms no |f|, yet equals max |f_i| bit for bit,
+        # +0.0 included where every value is a zero of either sign
+        mu, f = atoms(values, [1.0] * len(values))
+        assert ess_sup(f, mu).hex() == float(np.abs(f.values).max()).hex()
+
     def test_misaligned(self):
         mu = DiscreteMeasure([0.0], [1.0])
         with pytest.raises(InputError):

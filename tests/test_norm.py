@@ -346,10 +346,10 @@ class TestShardedKernel:
         return out
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_shards_change_no_number(self, monkeypatch, pool_tasks, cpus):
-        # the input's 3 whole blocks give min(cpus, 3) threads: cpus = 8 is
-        # capped by the blocks
-        mu, f = mixed_instance(seed=11, n=self.N)
+    def test_shards_change_no_number(self, monkeypatch, pool_tasks, cpus, n=N):
+        # the input's ceil(n / 2^16) blocks of equal size, 4 here, give
+        # min(cpus, 4) threads: cpus = 8 is capped by the blocks
+        mu, f = mixed_instance(seed=11, n=n)
         monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
         serial = self.results(mu, f)
         assert not pool_tasks
@@ -358,12 +358,22 @@ class TestShardedKernel:
         assert bool(pool_tasks) == (cpus > 1)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [2**16 + 1, 100_003])
+    def test_even_split_changes_no_number(self, monkeypatch, pool_tasks, n, cpus):
+        # from 2^16 + 1 atoms two blocks of equal size, so two CPUs share the
+        # kernel where one took a whole block and a sliver; the partition
+        # depends on n alone, so every number matches the serial loop
+        self.test_shards_change_no_number(monkeypatch, pool_tasks, cpus, n)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("case", sorted(SET_UP_CASES))
     def test_set_up_changes_no_number(self, monkeypatch, pool_tasks, case, cpus):
         # the set-up's two passes run on the calling thread, the kernel on its
         # threads: every result is bit-identical to the serial solve, the pool
-        # is made only for a kernel of two threads, and the kept atoms are
-        # those of a numpy mask |f| > cut (strictly), gathered in index order
+        # is made only for a kernel of two blocks, and the kept atoms are
+        # those of a numpy mask |f| > cut (strictly), gathered in index order.
+        # From _SEED_MIN_ATOMS kept atoms the kernel of the seed's sample,
+        # one block, comes first
         values, weights, q = SET_UP_CASES[case]()
         mu, f = atoms(values, weights)
         A = YoungFunction.log_bump(2.0, q)
@@ -372,8 +382,8 @@ class TestShardedKernel:
         assert not pool_tasks
         monkeypatch.setattr(norm_module, "_cpus", lambda: cpus)
         res, kernels, compared = kept_atoms(monkeypatch, A, f, mu)
-        kept = len(kernels[0][0]) if kernels else 0
-        assert bool(pool_tasks) == (cpus > 1 and kept >= 2 * norm_module._BLOCK)
+        kept = len(kernels[-1][0]) if kernels else 0
+        assert bool(pool_tasks) == (cpus > 1 and kept > norm_module._BLOCK)
         assert (hexed(res), modular(A, f, mu, 0.7).hex()) == serial
 
         absf = np.abs(values)
@@ -381,23 +391,31 @@ class TestShardedKernel:
             assert res.status is NormStatus.ZERO and not kernels
             return
         keep = absf > set_up_cut(A, values, weights)
-        [(a, w)] = kernels
+        *sample, (a, w) = kernels
+        assert len(sample) == (kept >= norm_module._SEED_MIN_ATOMS)
         assert np.array_equal(np.abs(a), absf[keep]) and np.array_equal(w, weights[keep])
         if case == "cut_attained":
             assert not keep[CUT_AT].any()
         if case == "kept_in_one_block":  # the cut visits that block alone
             assert compared == 1
 
-    def test_small_inputs_use_no_pool(self, pool_tasks):
-        # solves of q-ladder (32 atoms) and sweep-100k (1e5 atoms) size run on
-        # the calling thread on any machine: 1e5 atoms hold one whole block
-        for n in (32, 100_000):
+    def test_small_inputs_use_no_pool(self, monkeypatch, pool_tasks):
+        # a kernel of at most 2^16 atoms is one block and runs on the calling
+        # thread on any machine: q-ladder's 32 atoms, a whole block, and a
+        # seed's sample.  sweep-100k's 1e5 atoms, kept whole at q = 1, are
+        # two blocks of 50000 and share two CPUs
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 8)
+        for n in (32, 2**16):
             mu, f = mixed_instance(seed=n, n=n)
             for q in (1.0, 100.0, 1e5):
                 A = YoungFunction.log_bump(2.0, q)
                 assert luxemburg_norm(A, f, mu).status is NormStatus.FINITE
                 modular(A, f, mu, 0.7)
         assert not pool_tasks
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
+        mu, f = lognormal_instance(seed=1, n=100_000)
+        assert luxemburg_norm(YoungFunction.log_bump(2.0, 1.0), f, mu).pruned_mass == 0.0
+        assert pool_tasks
 
     def test_worker_error_state(self, monkeypatch, pool_tasks):
         # numpy keeps the error state per thread: the worker's log(0) in the
@@ -657,6 +675,12 @@ EDGE_CASES = {
 }
 
 
+def kernel_block(n):
+    """Atoms in each of the kernel's ceil(n / 2^16) blocks of equal size, the last
+    one at most this."""
+    return -(-n // -(-n // norm_module._BLOCK))
+
+
 def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
     """luxemburg_norm, and [atom count, slope flag, evaluated lams] of every
     kernel built."""
@@ -807,8 +831,9 @@ class TestPruning:
     def test_pruned_mass_by_direct_sum_threaded(self, monkeypatch, pool_tasks):
         # 2^17 + 1000 atoms, 1000 of them 1e-30-sized and spread over every
         # block: the 2^17 kept ones hold 0.9 of the mass, so the dropped
-        # weights are summed directly, and the kernel runs on two threads;
-        # every field matches the serial solve
+        # weights are summed directly, and the kernel runs on two threads,
+        # after the one-block kernel of the seed's strided sample; every
+        # field matches the serial solve
         rng = np.random.default_rng(10)
         n = 2**17 + 1000
         values, weights = rng.uniform(0.5, 1.0, n), rng.uniform(0.1, 1.0, n)
@@ -823,19 +848,23 @@ class TestPruning:
         serial = hexed(luxemburg_norm(A, f, mu))
         assert not pool_tasks
         monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
-        res, [kept] = counted_norm(monkeypatch, A, f, mu, PRUNE_TOL)
+        res, [sample, kept] = counted_norm(monkeypatch, A, f, mu, PRUNE_TOL)
         assert kept == 2**17 and pool_tasks
+        assert sample == len(range(0, kept, kept // norm_module._SEED_SAMPLE))
         assert hexed(res) == serial
         check_pruned_mass(A, f, mu, res, kept)
 
     @pytest.mark.parametrize("q", [1.0, 1e5])
-    def test_allocation(self, q):
+    def test_allocation(self, monkeypatch, q):
         # tracemalloc sees numpy's buffers.  The set-up takes |f| of a block
         # and the cut a mask of one block (9 B per block atom), freed before
         # the kernel makes its buffer and a second for the slope: with one atom
         # kept (q = 1e5) nothing is N-sized, and with nothing pruned (q = 1)
         # only the kernel's log weights (8 B/atom) are; a whole-array |f|,
-        # mask, index or gather would exceed that
+        # mask, index or gather would exceed that, and so would the seed's
+        # sample kernel kept alive through the solve.  One thread, whose
+        # blocks are of equal size: test_allocation_sharded takes two
+        monkeypatch.setattr(norm_module, "_cpus", lambda: 1)
         n = 100_000
         mu, f = lognormal_instance(seed=3, n=n)
         A = YoungFunction.log_bump(2.0, q)
@@ -847,7 +876,7 @@ class TestPruning:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        block = min(n, norm_module._BLOCK)
+        block = kernel_block(n)
         if q == 1.0:
             assert res.pruned_mass == 0.0
             bound = 8 * n + 17 * block
@@ -859,25 +888,27 @@ class TestPruning:
     def test_allocation_sharded(self, monkeypatch, pool_tasks):
         # on two threads each owns a block buffer and, for the slope, the
         # kernel's second one; beside them the serial solve's log weights and
-        # a block's slack.  At q = 1e5 the kernel is serial: no pool
+        # a block's slack.  At q = 1e5 the kernel is serial: no pool.  1e5
+        # atoms are two blocks of 50000
         monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
-        n, block = 4 * norm_module._BLOCK, norm_module._BLOCK
-        mu, f = lognormal_instance(seed=3, n=n)
-        for q, bound in ((1.0, 8 * n + 33 * block), (1e5, 17 * block)):
-            A = YoungFunction.log_bump(2.0, q)
-            luxemburg_norm(A, f, mu)
-            pool_tasks.clear()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                res = luxemburg_norm(A, f, mu)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert (res.pruned_mass == 0.0) == (q == 1.0) == bool(pool_tasks)
-            # the pool's thread, futures and per-thread block views add about
-            # 20 KB of Python objects to the serial solve's 16 KB allowance
-            assert peak <= bound + 32 * 1024, (q, peak / n)
+        for n in (4 * norm_module._BLOCK, 100_000):
+            block = kernel_block(n)
+            mu, f = lognormal_instance(seed=3, n=n)
+            for q, bound in ((1.0, 8 * n + 33 * block), (1e5, 17 * block)):
+                A = YoungFunction.log_bump(2.0, q)
+                luxemburg_norm(A, f, mu)
+                pool_tasks.clear()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    res = luxemburg_norm(A, f, mu)
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                assert (res.pruned_mass == 0.0) == (q == 1.0) == bool(pool_tasks)
+                # the pool's thread, futures and per-thread block views add about
+                # 20 KB of Python objects to the serial solve's 16 KB allowance
+                assert peak <= bound + 32 * 1024, (n, q, peak / n)
 
     def test_cut_underflow_drops_only_zero_atoms(self):
         # lo * A^{-1}(tol / (4s)) underflows to 0: every dropped atom has
@@ -939,8 +970,11 @@ def check_certified(A, values, weights, res, kernels, tol=PRUNE_TOL):
     atoms, and the long-double oracle confirms the final bracket and the
     value.  An end that is also the value is a closed-form end, accepted on
     its residual, and held to its side all the same."""
-    [(_, slope, lams)] = kernels
+    *sample, (kept, slope, lams) = kernels
     assert slope == (len(values) >= NEWTON_N)
+    # from _SEED_MIN_ATOMS kept atoms the seed's sample kernel, evaluated once at lo, comes first
+    seeded = kept >= norm_module._SEED_MIN_ATOMS
+    assert [len(evaluated) for _, _, evaluated in sample] == [1] * seeded
     assert res.iterations == len(lams)
     assert res.status is NormStatus.FINITE and res.residual <= tol
     assert abs(modular_longdouble(A, values, weights, res.value) - 1.0) <= tol
@@ -972,12 +1006,16 @@ class TestCoarseStart:
 
     def test_few_evaluations(self, monkeypatch):
         # nothing pruned, the kernel sums the slope, and Newton steps from lo
-        # take a handful of evaluations where bisection takes 32 to 36
+        # take a handful of evaluations where bisection takes 32 to 36.  On
+        # 1e5 atoms the first step comes from the seed's sample, evaluated
+        # once at lo, so the solve takes 3 full evaluations where it took 4
         for n, q in ((100_000, 1.0), (10_000, 1.0), (10_000, 10.0)):
             mu, f = lognormal_instance(seed=3, n=n)
-            res, [(_, slope, _)] = traced_norm(monkeypatch, YoungFunction.log_bump(2, q), f, mu)
-            assert res.pruned_mass == 0.0 and slope
-            assert res.iterations <= 6
+            res, kernels = traced_norm(monkeypatch, YoungFunction.log_bump(2, q), f, mu)
+            *sample, (_, slope, lams) = kernels
+            assert res.pruned_mass == 0.0 and slope and res.iterations == len(lams)
+            assert [len(evaluated) for _, _, evaluated in sample] == ([1] if n == 100_000 else [])
+            assert res.iterations <= (3 if sample else 6)
 
     @pytest.mark.parametrize("q", [100.0, 1e5])
     @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
@@ -1084,6 +1122,64 @@ class TestCoarseStart:
         )
         assert slope and lams[:2] == [lo, hi]
         check_certified(A, values, weights, res, kernels)
+
+
+def seed_corpus():
+    """{case: (values, weights)} of 2^16 + 1 to 2^18 atoms, the sizes whose
+    kept atoms take the seed's sampled first step, drawn in this order."""
+    rng = np.random.default_rng(25)
+    corpus = {}
+    n = 2**16 + 1
+    corpus["lognormal"] = rng.lognormal(0.0, 1.0, n), rng.uniform(0.1, 1.0, n) / n
+    x = np.linspace(-1.0, 1.0, 100_003)  # sampled on [-1, 1]: zeros at both ends
+    corpus["one_minus_x_squared"] = 1.0 - x * x, np.full(len(x), 1.0 / len(x))
+    n = 3 * 2**16 + 7  # one atom 100 times the rest, holding half the mass
+    values, weights = rng.uniform(0.5, 1.0, n), rng.uniform(0.1, 1.0, n) / n
+    values[n // 3], weights[n // 3] = 100.0, 0.5
+    corpus["dominant_spike"] = values, weights
+    n = 2**18
+    values = rng.lognormal(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    values[::5] = 0.0
+    corpus["mixed_signs_with_zeros"] = values, rng.uniform(0.1, 1.0, n) / n
+    n = 2**17 + 3  # total mass about 5.5
+    corpus["mass_above_one"] = rng.lognormal(0.0, 1.0, n), rng.uniform(0.1, 1.0, n) * 10.0 / n
+    return corpus
+
+
+SEED_CASES = [
+    "lognormal",
+    "one_minus_x_squared",
+    "dominant_spike",
+    "mixed_signs_with_zeros",
+    "mass_above_one",
+]
+
+
+class TestSampledSeed:
+    """From _SEED_MIN_ATOMS kept atoms the first Newton step comes from the
+    modular and its slope at lo on a strided sample, not from a full
+    evaluation there.  The sample only proposes a start: it never moves the
+    bracket and is not counted."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
+    @pytest.mark.parametrize("case", SEED_CASES)
+    def test_never_more_evaluations(self, monkeypatch, case, p):
+        # every seeded solve is certified, meets tol in long double, and takes
+        # no more full evaluations than the same solve started at lo.  The
+        # sample's largest atom gives way to the top atom because, standing
+        # for its whole stride, an atom near M overshoots the root: 4 full
+        # evaluations against 3 on mixed_signs_with_zeros at p = 2, q = 30
+        values, weights = seed_corpus()[case]
+        mu, f = atoms(values, weights)
+        for q in (0.0, 0.5, 1.0, 3.0, 10.0, 30.0):
+            A = YoungFunction.log_bump(p, q)
+            res, kernels = traced_norm(monkeypatch, A, f, mu)
+            check_certified(A, values, weights, res, kernels)
+            with monkeypatch.context() as mp:
+                mp.setattr(norm_module, "_SEED_MIN_ATOMS", math.inf)
+                plain, [_] = traced_norm(monkeypatch, A, f, mu)
+            assert res.iterations <= plain.iterations
+            assert abs(res.value / plain.value - 1.0) <= 2.0 * PRUNE_TOL / p
 
 
 class TestCharNormClosedForm:
