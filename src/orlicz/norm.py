@@ -39,7 +39,8 @@ whole in the log domain, so it is inf only when that itself overflows, and
 log(shift + |f_i|/lam) is taken as logaddexp(log|f_i| - log lam, log shift).
 
 On an input of at least _NEWTON_MIN_ATOMS atoms, however few are kept,
-the loop takes Newton proposals (_solve).  By the delta substitution the slope
+each evaluation proposes the Newton step from its point (_newton_step).
+By the delta substitution the slope
 d log A / d log t = p + q t / ((shift + t) log(shift + t)) is closed form,
 so the kernel sums the modular's slope in the same pass, and the loop
 starts at lo, where the modular is >= 1, so that evaluating it cannot
@@ -313,9 +314,10 @@ def luxemburg_norm(
     3 (N - 1) u + u, so pruned_bound, taken from pruned_mass rounded up by
     4 N u, stays a bound.  A cut below the normal range has too few bits to
     bound what it drops, so it is taken as 0, dropping only atoms with f_i = 0.
-    A normal cut lies below lam_lo * A^{-1}(1/w) <= M, as tol / (4s) < 1/w and
-    A^{-1} increases, so the atom attaining M survives and the bracket holds
-    for the kept atoms too; a lam_lo that underflows to 0 raises NumericError.
+    A normal cut lies below lam_lo * A^{-1}(1/w) <= M, as tol / (4s) < 1/w
+    (w <= s, and a tol outside (0, 1) raises DomainError) and A^{-1}
+    increases, so the atom attaining M survives and the bracket holds for
+    the kept atoms too; a lam_lo that underflows to 0 raises NumericError.
     The root loop (module docstring) drives the kept modular to within
     tol - pruned_bound of 1, so the full modular meets |modular(lam) - 1| <=
     tol, unless the bracket collapses to adjacent doubles first.  A bracket
@@ -323,15 +325,15 @@ def luxemburg_norm(
     exceeds tol where the evaluation noise (about q * 1e-16) does.
     Otherwise NumericError comes only from the inverses or from a residual
     above tol with a bracket still wider than tol * lam, which takes a tol
-    near one ULP.  On the Newton path a residual within tol narrows the
+    near one ULP.  A residual within tol, bisected or not, narrows the
     bracket to lam exp(+-((|log S| + eps)/p + 2^-50)), eps from _log_sum_error,
     as F = log S has F' >= p in u.  iterations counts the evaluations of the
     kept modular, each over every kept atom; the inverses behind the bracket
     and the cut, and the seed's sample, are not counted.
     """
     check_aligned(f, mu)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must be positive and below 1, got {tol}")
     top, big, maxima, minima = _ess_sup(f.values)
     if big == 0.0:
         return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
@@ -375,14 +377,20 @@ def luxemburg_norm(
         x = _seed(A, values, weights, big, float(mu.weights[top]), kept_mass, lo)
         start = x if lo < x < hi else lo
     with _modular_kernel(A, values, weights, big, signed, start is not None) as modular_at:
-        lam, h, lo, hi, evaluations = _solve(modular_at, start, lo, hi, tol - pruned_bound)
+        def g(lam):  # (1 - S at lam, the Newton step from lam or, to bisect, None)
+            if start is None:
+                return 1.0 - modular_at(lam), None
+            s, d = modular_at(lam)
+            return 1.0 - s, _newton_step(lam, s, d)
+
+        lam, h, lo, hi, evaluations = _root(g, lo, hi, tol - pruned_bound, x=start)
     residual = abs(h) + pruned_bound
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(
             f"luxemburg_norm stalled: bracket [{lo!r}, {hi!r}], "
             f"residual {residual:.3e} > tol {tol:g}"
         )
-    if start is not None and residual <= tol:  # F' >= p: the root is within (|log S| + eps)/p in u
+    if residual <= tol:  # F' >= p: the root is within (|log S| + eps)/p in u
         m = min((abs(math.log1p(-h)) + _log_sum_error(A, big, lam, len(values))) / A.p, 709.0)
         lo, hi = max(lo, lam * math.exp(-m - 2.0**-50)), min(hi, lam * math.exp(m + 2.0**-50))
     return NormResult(
@@ -437,40 +445,20 @@ def _newton_step(lam: float, m: float, d: float) -> float:
     return lam * math.exp(min(u, 709.0))  # exp raises past 709
 
 
-def _solve(modular_at, start, lo: float, hi: float, tol: float):
-    """Root of modular_at(lam) = 1, the kept modular, in the certified
-    bracket [lo, hi], to |residual| <= tol, as luxemburg_norm describes.
-
-    Returns (lam, 1 - modular(lam), lo, hi, evaluations) with the final
-    bracket, from young._root.  With a start (from _NEWTON_MIN_ATOMS input
-    atoms on: lo, or the step from it that _seed proposes) the kernel also
-    returns the slope sum D, and the loop evaluates start first, then takes
-    Newton steps (_newton_step).  Otherwise the loop bisects.
-    """
-    if start is not None:
-        last = ()  # (lam, S, D) of the latest evaluation
-
-        def g(lam):
-            nonlocal last
-            last = (lam, *modular_at(lam))
-            return 1.0 - last[1]
-
-        return _root(g, lo, hi, tol, x=start, step=lambda: _newton_step(*last))
-    return _root(lambda lam: 1.0 - modular_at(lam), lo, hi, tol)
-
-
 def char_norm_closed_form(A: YoungFunction, m: float) -> float:
-    """Norm of a characteristic function of mass m: 1 / A^{-1}(1/m)."""
-    if not m > 0.0:
-        raise DomainError(f"mass must be positive, got {m}")
-    return 1.0 / A.inverse(1.0 / m)
+    """Norm of a characteristic function of mass m: 1 / A^{-1}(1/m), the
+    inverse solved as log A(t) = -log m, so 1/m may overflow."""
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"mass must be positive and finite, got {m}")
+    return 1.0 / _solve_log(A, -math.log(m), 0.5e-12)[0]
 
 
 def p_norm(f: SampledFunction, mu: DiscreteMeasure, p: float) -> float:
     """Weighted p-norm (sum_i w_i |f_i|^p)^(1/p), stable for large p.
 
-    The largest |f_i| is factored out so the power sum stays in range up to
-    p around 1e4 at desk scale.
+    The largest |f_i| = M is factored out, so each term w_i (|f_i|/M)^p is
+    at most w_i and the top atom's is its weight exactly: for every p the
+    power sum lies between that weight and the total mass.
     """
     check_aligned(f, mu)
     if not p >= 1.0:

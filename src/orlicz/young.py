@@ -128,19 +128,20 @@ class YoungFunction:
         return _solve_log(self, math.log(y), 0.5 * tol)[0]
 
 
-def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
+def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
     """Root of increasing g on [lo, hi], 0 <= lo, where g(lo) <= 0 <= g(hi).
 
     The package's one root loop: evaluate a point, let the sign of g there
-    replace one end of the bracket, pick the next point.  x, when given, is
-    evaluated first.  After each evaluation step(), when given, proposes the
-    next point; a proposal not strictly inside the bracket (nan included)
-    gives way to hi if hi was never evaluated, else to the midpoint.  The
-    midpoint is geometric, sqrt(lo * hi), so a bracket spanning many decades
-    shrinks in relative width at the same rate as a narrow one; the
-    arithmetic midpoint stands in when the geometric one is not strictly
-    inside (lo = 0, or near-adjacent doubles).  Returns (x, g(x), lo, hi,
-    evaluations) with the final bracket.  x is the first point with
+    replace one end of the bracket, pick the next point.  g(x) returns
+    (g(x), proposal): the point it proposes to evaluate next, or None to
+    bisect.  x, when given, is evaluated first.  A proposal not strictly
+    inside the bracket (nan included) gives way to hi if hi was never
+    evaluated, else to the midpoint.  The midpoint is geometric,
+    sqrt(lo * hi), so a bracket spanning many decades shrinks in relative
+    width at the same rate as a narrow one; the arithmetic midpoint stands
+    in when the geometric one is not strictly inside (lo = 0, or
+    near-adjacent doubles).  Returns (x, g(x), lo, hi, evaluations) with
+    the final bracket.  x is the first point with
     |g(x)| <= tol.  Once neither midpoint lies strictly inside the bracket,
     x is the end with the smaller known |g|; g_lo and g_hi are the values at
     the starting ends, inf when not evaluated, and an end returned without
@@ -157,10 +158,10 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
             if not lo < x < hi:
                 x, g_x = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
                 if g_x == math.inf:  # the mark of an end never evaluated; no g returns +inf
-                    g_x = g(x)
+                    g_x = g(x)[0]
                     evaluations += 1
                 return x, g_x, lo, hi, evaluations
-        g_x = g(x)
+        g_x, proposal = g(x)
         evaluations += 1
         if abs(g_x) <= tol:
             return x, g_x, lo, hi, evaluations
@@ -168,7 +169,7 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None, step=None):
             lo, g_lo = x, g_x
         else:
             hi, g_hi = x, g_x
-        x = None if step is None else step()
+        x = proposal
         if x is not None and not lo < x < hi:  # nan is never inside
             x = hi if g_hi == math.inf and lo < hi else None
 
@@ -182,24 +183,18 @@ def _solve_log(A: YoungFunction, target: float, tol_log: float) -> tuple[float, 
     That end is clamped to the double range; a root beyond the clamp leaves
     a log-residual that raises NumericError.
     """
-    last = ()  # (t, g(t)) of the latest evaluation
-
     def g(t):
-        nonlocal last
-        last = (t, A.log_value(t) - target)
-        return last[1]
-
-    def step():
-        t, r = last
+        """(log A(t) - target, the Newton step in log t from t)."""
+        r = A.log_value(t) - target
         slope = A.p + (A.q * (t / (A.shift + t)) / math.log(A.shift + t) if A.q > 0.0 else 0.0)
         s = t * math.exp(min(max(-r / slope, -745.0), 709.0))
         # a step below half an ULP, which noise above tol_log leaves: the next double
-        return s if s != t or r == 0.0 else math.nextafter(t, 0.0 if r > 0.0 else math.inf)
+        return r, s if s != t or r == 0.0 else math.nextafter(t, 0.0 if r > 0.0 else math.inf)
 
-    g1 = g(1.0)
+    g1, x = g(1.0)
     end = math.exp(min(max(-g1 / A.p, -745.0), 709.0))  # finite and nonzero
     lo, g_lo, hi, g_hi = (1.0, g1, end, math.inf) if g1 < 0.0 else (end, math.inf, 1.0, g1)
-    t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi, x=step(), step=step)
+    t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi, x)
     if abs(res) > max(tol_log, 1e-6):
         # bracket collapsed far from the target, or the root is past the clamp
         raise NumericError(

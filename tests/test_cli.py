@@ -243,7 +243,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: xs must span a finite interval\n"
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e300"])
     @pytest.mark.parametrize(
         "command", [["norm"], ["sweep", "--q-grid", "1:100:3:log"]], ids=["norm", "sweep"]
     )

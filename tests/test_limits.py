@@ -170,6 +170,13 @@ class TestLiminfBound:
         with pytest.raises(DomainError):
             liminf_bound_check(0.5, 1.0, 0.5)
 
+    def test_mass_below_one_over_max(self):
+        # 1/(m q) overflows, so the bound is 0; the norm 1/t, with t log(e0 + t)
+        # = 1/m, is a normal double
+        rec = liminf_bound_check(5e-309, 1.0, 1.0)
+        assert rec.norm_value == pytest.approx(3.5166676230648983e-306, rel=1e-12)
+        assert rec.lower_bound == 0.0 and rec.passed and not rec.vacuous
+
     def test_mass_must_be_positive(self):
         with pytest.raises(DomainError):
             liminf_bound_check(0.0, 1.0, 10.0)

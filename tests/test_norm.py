@@ -495,6 +495,13 @@ class TestLuxemburgNorm:
             assert res.bracket_lo <= res.value <= res.bracket_hi
             assert res.residual <= 1e-10
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, 1e300, math.inf])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # a tol of 4 s / w_top or more would put the pruning cut above M
+        mu, f = atoms([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(DomainError, match="tol must be positive"):
+            luxemburg_norm(B11, f, mu, tol)
+
     def test_stall_raises_with_bracket(self):
         # the bracket collapses to adjacent doubles with the residual at
         # 1.1e-16, above a tol of 1e-17
@@ -541,13 +548,13 @@ class TestLuxemburgNorm:
         # 127 weights below half an ULP of a leading 1.0 sum 7 ULPs low
         # (numpy's first pairwise accumulator absorbs 15 of them), which hi
         # must allow for
-        ends, solve = [], norm_module._solve
+        ends, root = [], norm_module._root
 
-        def recording(modular_at, newton, lo, hi, tol):
+        def recording(g, lo, hi, tol, **kwargs):
             ends.append((lo, hi))
-            return solve(modular_at, newton, lo, hi, tol)
+            return root(g, lo, hi, tol, **kwargs)
 
-        monkeypatch.setattr(norm_module, "_solve", recording)
+        monkeypatch.setattr(norm_module, "_root", recording)
         A = YoungFunction.log_bump(p, q)
         inputs = [(np.ones(128), np.array([1.0] + [0.49 * 2.0**-52] * 127))]
         for seed in range(100):
@@ -965,6 +972,21 @@ def newton_case(name):
     return values, rng.uniform(0.1, 1.0, len(values)) / len(values)
 
 
+def norm_mpmath(A, values, weights, guess):
+    """The root lam of sum_i w_i A(a_i/lam) = 1 at 50 digits, by the secant
+    method in log lam from guess."""
+    with mpmath.workdps(50):
+        a, w = [mpmath.mpf(float(x)) for x in values], [mpmath.mpf(float(x)) for x in weights]
+
+        def log_modular(x):
+            t = [ai / mpmath.exp(x) for ai in a]
+            return mpmath.log(
+                mpmath.fsum(wi * ti**A.p * mpmath.log(A.shift + ti) ** A.q for wi, ti in zip(w, t))
+            )
+
+        return mpmath.exp(mpmath.findroot(log_modular, mpmath.log(guess), tol=mpmath.mpf(10) ** -45))
+
+
 def check_certified(A, values, weights, res, kernels, tol=PRUNE_TOL):
     """iterations counts the evaluations of the one kernel, over the kept
     atoms, and the long-double oracle confirms the final bracket and the
@@ -1042,6 +1064,35 @@ class TestCoarseStart:
             [(_, slope, _)] = kernels
             assert not slope
             check_certified(A, f.values, mu.weights, res, kernels)
+
+    @pytest.mark.parametrize("q", [1.0, 100.0, 1e4])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_small_inputs_narrow_by_slope_floor(self, monkeypatch, p, q):
+        # a bisected solve that meets tol narrows its bracket as a Newton
+        # one does: F = log S has F' >= p in u = log(M/lam), so the kept
+        # root lies within (|log S| + eps)/p + 2^-50 of the accepted u, eps
+        # from n >= the kept atoms.  The bracket still holds the 50-digit root
+        solved, root = [], norm_module._root
+
+        def recording(g, lo, hi, tol, **kwargs):
+            solved.append(root(g, lo, hi, tol, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(norm_module, "_root", recording)
+        A = YoungFunction.log_bump(p, q)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 33))
+            values, weights = rng.lognormal(0.0, 1.0, n), rng.uniform(0.1, 1.0, n) / n
+            mu, f = atoms(values, weights)
+            res = luxemburg_norm(A, f, mu)
+            lam, h, *_ = solved.pop()
+            assert res.residual <= PRUNE_TOL and res.value == lam
+            eps = norm_module._log_sum_error(A, float(values.max()), lam, n)
+            m = (abs(math.log1p(-h)) + eps) / p
+            assert lam * math.exp(-m - 2.0**-50) <= res.bracket_lo
+            assert res.bracket_hi <= lam * math.exp(m + 2.0**-50)
+            assert res.bracket_lo <= norm_mpmath(A, values, weights, lam) <= res.bracket_hi
 
     def test_step_past_hi_evaluates_hi(self, monkeypatch):
         # on equal values the closed-form hi is the root; the first step
@@ -1210,6 +1261,26 @@ class TestCharNormClosedForm:
         with pytest.raises(DomainError):
             char_norm_closed_form(B11, 0.0)
 
+    def test_infinite_mass_rejected(self):
+        # log A(t) = -inf has no root t > 0
+        with pytest.raises(DomainError, match="mass must be positive and finite"):
+            char_norm_closed_form(B11, math.inf)
+
+    @pytest.mark.parametrize(
+        "p, q, m", [(1, 1, 5e-309), (1, 1, 1e-310), (2, 1, 1e-320), (1, 100, 5e-309), (2, 0, 5e-309)]
+    )
+    def test_mass_below_one_over_max(self, p, q, m):
+        # 1/m overflows where the norm 1/t, with log A(t) = -log m, does not
+        A = YoungFunction.log_bump(p, q)
+        with mpmath.workdps(50):
+            target = -mpmath.log(mpmath.mpf(m))
+            u = mpmath.findroot(
+                lambda u: p * u + q * mpmath.log(mpmath.log(A.shift + mpmath.exp(u))) - target,
+                target / p,
+            )
+            expected = float(mpmath.exp(-u))
+        assert char_norm_closed_form(A, m) == pytest.approx(expected, rel=1e-12)
+
 
 class TestPNorm:
     def test_single_atom(self):
@@ -1227,6 +1298,8 @@ class TestPNorm:
     def test_huge_p_stable(self):
         mu, f = atoms([1, 2], [1, 1])
         assert p_norm(f, mu, 1000.0) == pytest.approx(2.0, abs=1e-12)
+        # every term is at most its weight, and the top atom's is its weight
+        assert p_norm(f, mu, 1e300) == 2.0
 
     def test_zero(self):
         mu, f = atoms([0, 0], [1, 1])

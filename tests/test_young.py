@@ -256,13 +256,14 @@ class TestInverse:
             assert abs(A.value(t) - y) <= 1e-9 * max(1.0, y)
 
 
-def recorded_line(root):
-    """Increasing g(x) = x - root, and the list of points it is evaluated at."""
+def recorded_line(root, proposals=None):
+    """Increasing g(x) = x - root, with the next of proposals (None: bisect)
+    as its proposal, and the list of points it is evaluated at."""
     xs = []
 
     def g(x):
         xs.append(x)
-        return x - root
+        return x - root, None if proposals is None else next(proposals)
 
     return g, xs
 
@@ -272,7 +273,7 @@ class TestRoot:
 
     @pytest.mark.parametrize("lo", [0.0, 1e-300, 0.5])
     def test_bisection_is_geometric(self, lo):
-        # no step: every point is sqrt(lo) * sqrt(hi) of the bracket so far,
+        # no proposal: every point is sqrt(lo) * sqrt(hi) of the bracket so far,
         # or the arithmetic midpoint where that is not strictly inside
         g, xs = recorded_line(3.0)
         x, g_x, _, _, evaluations = _root(g, lo, 1e6, 1e-12)
@@ -284,16 +285,15 @@ class TestRoot:
             a, b = (x, b) if x < 3.0 else (a, x)
 
     def test_proposal_inside_is_evaluated(self):
-        g, xs = recorded_line(3.0)
-        proposals = iter([5.0, 2.5, 3.0])
-        x, g_x, lo, hi, evaluations = _root(g, 1.0, 10.0, 0.0, x=1.0, step=lambda: next(proposals))
+        g, xs = recorded_line(3.0, iter([5.0, 2.5, 3.0, None]))
+        x, g_x, lo, hi, evaluations = _root(g, 1.0, 10.0, 0.0, x=1.0)
         assert xs == [1.0, 5.0, 2.5, 3.0]
         assert (x, g_x, lo, hi, evaluations) == (3.0, 0.0, 2.5, 5.0, 4)
 
     @pytest.mark.parametrize("bad", [20.0, 10.0, 1.0, 0.5, math.nan])
     def test_proposal_outside_takes_hi_once_then_midpoints(self, bad):
-        g, xs = recorded_line(3.0)
-        x, g_x, _, _, evaluations = _root(g, 1.0, 10.0, 1e-12, x=1.0, step=lambda: bad)
+        g, xs = recorded_line(3.0, itertools.repeat(bad))
+        x, g_x, _, _, evaluations = _root(g, 1.0, 10.0, 1e-12, x=1.0)
         assert xs[:3] == [1.0, 10.0, math.sqrt(10.0)]
         assert xs.count(10.0) == 1
         assert evaluations == len(xs) and abs(g_x) <= 1e-12
