@@ -9,11 +9,11 @@ accuracy is relative and the bracket can span hundreds of decades.  The
 package's one root loop, young._root, narrows that bracket: it bisects, or
 on inputs of 2^10 atoms or more evaluates Newton proposals that land inside it.
 
-Every pass over the atoms runs in blocks of at most 2^16.  The set-up's
-memory-bound passes run on the calling thread; the kernel cuts its N atoms
-into ceil(N / 2^16) blocks of equal size, a partition that depends on N
-alone, and shares them among min(CPUs, blocks) threads, so from 2^16 + 1
-atoms two CPUs share the work.  From two threads on, the kernel makes its
+Every pass over N atoms runs on one partition, _blocks(N): ceil(N / 2^16)
+blocks of equal size, the last one shorter, which depends on N alone.  The
+set-up's memory-bound passes run on the calling thread; the kernel shares
+its blocks among min(CPUs, blocks) threads, so from 2^16 + 1 atoms two
+CPUs share the work.  From two threads on, the kernel makes its
 one thread pool, whose threads and the caller each take the next block not
 yet taken, in parallel since numpy's ufuncs release the GIL.  Results come
 back in block order and sums are added in it, so the thread count changes
@@ -27,7 +27,7 @@ none whose minimum is above it too.  At large q
 only the atoms near ess sup |f| are kept: the pointwise domination behind
 the paper's upper bound.
 
-One kernel evaluates the modular for both modular() and the solver.  It
+One kernel evaluates the modular for modular(), p_norm() and the solver.  It
 builds c_i = log w_i + p*(log|f_i| - log M) once per call, and an
 evaluation at lam sums
 
@@ -67,7 +67,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .measure import DiscreteMeasure, SampledFunction, check_aligned
+from .measure import DiscreteMeasure, SampledFunction, check_aligned, ess_sup
 from .young import YoungFunction, _root, _solve_log
 
 __all__ = [
@@ -127,17 +127,23 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _blocks(n: int) -> list[slice]:
+    """range(n) as ceil(n / _BLOCK) slices of equal size, the last one shorter."""
+    size = -(-n // -(-n // _BLOCK))
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
 def _ess_sup(f: np.ndarray) -> tuple[int, float, list, list]:
-    """(top, M, block maxima of |f|, block minima of f): M = max |f|, top its first
-    atom, as np.argmax(np.abs(f)) finds it: the first argmax of |f| in the first block
-    attaining M.  np.argmax would copy each block of a read-only f; the
+    """(top, M, maxima of |f|, minima of f per block of _blocks): M = max |f|, top
+    its first atom, as np.argmax(np.abs(f)) finds it: the first argmax of |f| in the
+    first block attaining M.  np.argmax would copy each block of a read-only f; the
     reductions do not."""
-    maxima, minima = [], []
-    for i in range(0, len(f), _BLOCK):
-        minima.append(float(np.minimum.reduce(f[i : i + _BLOCK])))
-        maxima.append(max(float(np.maximum.reduce(f[i : i + _BLOCK])), -minima[-1]))
+    blocks, maxima, minima = _blocks(len(f)), [], []
+    for blk in blocks:
+        minima.append(float(np.minimum.reduce(f[blk])))
+        maxima.append(max(float(np.maximum.reduce(f[blk])), -minima[-1]))
     b = maxima.index(max(maxima))
-    top = b * _BLOCK + int(np.argmax(np.abs(f[b * _BLOCK : (b + 1) * _BLOCK])))
+    top = blocks[b].start + int(np.argmax(np.abs(f[blocks[b]])))
     return top, maxima[b], maxima, minima
 
 
@@ -145,31 +151,26 @@ def _ess_sup(f: np.ndarray) -> tuple[int, float, list, list]:
 def _modular_kernel(
     A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, signed: bool, slope=False
 ):
-    """Yield lam -> sum_i w_i A(|a_i| / lam) over fixed atoms a_i, w_i > 0
-    with max |a_i| = big, evaluated as the module docstring describes.  With
-    slope it returns (S, D) instead: S that sum, bit for bit, and
-    D = sum_i term_i * (p + q r_i), each term times its d log A / d log t,
-    from the same block buffers.  signed must hold if some a_i < 0; on atoms
-    >= 0 neither the set-up nor an evaluation takes an absolute value."""
+    """Yield lam -> (S, D) over fixed atoms a_i, w_i > 0 with max |a_i| = big:
+    S = sum_i w_i A(|a_i| / lam), evaluated as the module docstring describes,
+    and with slope D = sum_i term_i * (p + q r_i), each term times its
+    d log A / d log t, from the same block buffers, else None.  S is the same
+    bit for bit either way.  signed must hold if some a_i < 0; on atoms >= 0
+    neither the set-up nor an evaluation takes an absolute value."""
     p, q = A.p, A.q
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
     two_buffers = slope and q > 0.0  # the slope sum keeps r_i apart from the term
-    c = np.empty(len(a))
-    blocks = -(-len(a) // _BLOCK)
-    size = -(-len(a) // blocks)  # blocks of equal size: the partition depends on N alone
+    c, blocks = np.empty(len(a)), _blocks(len(a))
 
     def thread_views():
         """Every block as (w_blk, a_blk, c_blk, t, term), t and term in one
         thread's buffers of one block: term is t unless the slope needs both."""
-        buf = np.empty(size)
-        ell = np.empty(size) if two_buffers else buf
-        views = []
-        for i in range(0, len(a), size):
-            t = buf[: len(a) - i]
-            blk = slice(i, i + size)
-            views.append((w[blk], a[blk], c[blk], t, ell[: len(t)] if two_buffers else t))
-        return views
+        buf = np.empty(blocks[0].stop)
+        ell = np.empty(len(buf)) if two_buffers else None
+        ts = [buf[: b.stop - b.start] for b in blocks]
+        return [(w[b], a[b], c[b], t, t if ell is None else ell[: len(t)])
+                for b, t in zip(blocks, ts)]
 
     def set_up(view):
         """c_i = log w_i + p*(log|a_i| - log M) over the block."""
@@ -213,7 +214,7 @@ def _modular_kernel(
         total = float(np.add.reduce(np.exp(term, out=term)))
         return total, float(np.add.reduce(np.multiply(t, term, out=t))) if two_buffers else 0.0
 
-    threads = min(blocks, _cpus()) if blocks > 1 else 1
+    threads = min(len(blocks), _cpus())
     views = [thread_views() for _ in range(threads)]
     pool = None
     if threads > 1:
@@ -254,7 +255,7 @@ def _modular_kernel(
         for s, d in each_block(block_sums):  # in block order
             total += s
             weighted += d
-        return (total, p * total + q * weighted) if slope else total
+        return total, p * total + q * weighted if slope else None
 
     try:
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
@@ -277,7 +278,7 @@ def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: floa
         raise DomainError(f"modular requires lam > 0, got {lam}")
     _, big, _, minima = _ess_sup(f.values)
     with _modular_kernel(A, f.values, mu.weights, big, min(minima) < 0.0) as modular_at:
-        return modular_at(lam)
+        return modular_at(lam)[0]
 
 
 def luxemburg_norm(
@@ -347,17 +348,16 @@ def luxemburg_norm(
         cut = 0.0
     values, weights, kept_mass = f.values, mu.weights, mass  # the kernel's if nothing is dropped
     signed, pruned_mass, pruned_bound = min(minima) < 0.0, 0.0, 0.0
-    kept = []  # per block above the cut: (start, indices of its atoms |f_i| > cut, None for all)
-    for i, block_max, block_min in zip(range(0, len(values), _BLOCK), maxima, minima):
+    kept = []  # per block above the cut: (block, indices of its atoms |f_i| > cut, None for all)
+    for blk, block_max, block_min in zip(_blocks(len(f)), maxima, minima):
         if block_min > cut:  # f_i >= block_min > cut >= 0 for all: no mask
-            kept.append((i, None))
+            kept.append((blk, None))
         elif block_max > cut:  # else the block holds none
-            blk = values[i : i + _BLOCK]
-            keep = np.greater(np.abs(blk) if block_min < 0.0 else blk, cut)
-            kept.append((i, None if keep.all() else i + keep.nonzero()[0]))
+            keep = np.greater(np.abs(values[blk]) if block_min < 0.0 else values[blk], cut)
+            kept.append((blk, None if keep.all() else blk.start + keep.nonzero()[0]))
     keep = None  # the last block's mask is freed before the kernel allocates
     if len(kept) < len(maxima) or any(k is not None for _, k in kept):  # something dropped
-        index = [np.arange(i, min(i + _BLOCK, len(f))) if k is None else k for i, k in kept]
+        index = [np.arange(blk.start, blk.stop) if k is None else k for blk, k in kept]
         index = index[0] if len(index) == 1 else np.concatenate(index)
         values, weights, signed = np.abs(f.values[index]), mu.weights[index], False
         kept_mass = float(weights.sum())
@@ -378,10 +378,8 @@ def luxemburg_norm(
         start = x if lo < x < hi else lo
     with _modular_kernel(A, values, weights, big, signed, start is not None) as modular_at:
         def g(lam):  # (1 - S at lam, the Newton step from lam or, to bisect, None)
-            if start is None:
-                return 1.0 - modular_at(lam), None
             s, d = modular_at(lam)
-            return 1.0 - s, _newton_step(lam, s, d)
+            return 1.0 - s, None if d is None else _newton_step(lam, s, d)
 
         lam, h, lo, hi, evaluations = _root(g, lo, hi, tol - pruned_bound, x=start)
     residual = abs(h) + pruned_bound
@@ -454,19 +452,13 @@ def char_norm_closed_form(A: YoungFunction, m: float) -> float:
 
 
 def p_norm(f: SampledFunction, mu: DiscreteMeasure, p: float) -> float:
-    """Weighted p-norm (sum_i w_i |f_i|^p)^(1/p), stable for large p.
-
-    The largest |f_i| = M is factored out, so each term w_i (|f_i|/M)^p is
-    at most w_i and the top atom's is its weight exactly: for every p the
-    power sum lies between that weight and the total mass.
-    """
-    check_aligned(f, mu)
-    if not p >= 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
-    absf = np.abs(f.values)
-    big = float(absf.max())
+    """Weighted p-norm (sum_i w_i |f_i|^p)^(1/p): M times the p-th root of the
+    kernel's q = 0 modular of f / M at 1, M = ess sup |f|.  Each term is exp(c_i),
+    c_i <= log w_i with equality at the top atom, so for every p the power sum lies
+    between its weight and the total mass, up to the rounding of exp(log w_i).  On
+    f / M the kernel's logs err by about u, not u |log M|.  p must be as for
+    YoungFunction.power: finite and >= 1."""
+    A, big = YoungFunction.power(p), ess_sup(f, mu)
     if big == 0.0:
         return 0.0
-    with np.errstate(under="ignore"):
-        s = float(mu.weights @ (absf / big) ** p)
-    return big * s ** (1.0 / p)
+    return big * modular(A, SampledFunction(f.values / big), mu, 1.0) ** (1.0 / p)

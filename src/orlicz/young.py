@@ -13,6 +13,7 @@ log factor is positive on the whole axis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,9 +314,10 @@ def compare(A: YoungFunction, B: YoungFunction, grid) -> ComparisonResult:
     over the grid, re-verified with relative slack 1e-9.
     """
     pts = _validate_grid(grid, require_sorted=False)
-    c_best = 0.0
+    c_best, floor = 0.0, B.log_value(sys.float_info.min)
     for t in pts:
-        s, _ = _solve_log(B, A.log_value(t), 1e-13)
+        target = A.log_value(t)  # below floor the root has too few bits: min / t bounds c_t
+        s = sys.float_info.min if target <= floor else _solve_log(B, target, 1e-13)[0]
         c_best = max(c_best, s / t)
     certified = all(A.log_value(t) <= B.log_value(c_best * t) + _GRID_SLACK for t in pts)
     return ComparisonResult(c_best, tuple(pts), certified)

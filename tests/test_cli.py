@@ -167,6 +167,17 @@ class TestCommands:
         assert by_dir["e_in_e0"]["c_estimate"] > 1.0
         assert all(r["certified"] for r in rows)
 
+    @pytest.mark.parametrize("p, q", [("1", "1200"), ("1", "1e5"), ("2", "2400"), ("2", "1e5")])
+    def test_compare_large_q(self, tmp_path, p, q):
+        # roots below the normal range on the default grid no longer stop the run
+        out = tmp_path / "c.json"
+        assert run_cli("compare", "--p", p, "--q", q, "--format", "json",
+                       "--output", str(out)) == 0
+        rows = json.loads(out.read_text())
+        by_dir = {r["direction"]: r for r in rows}
+        assert by_dir["e0_in_e"]["c_estimate"] <= 1.0
+        assert all(r["certified"] for r in rows)
+
     def test_csv_input_explicit_weights(self, tmp_path, capsys):
         data = tmp_path / "in.csv"
         data.write_text("x,weight,value\n0,2,1\n")

@@ -186,7 +186,7 @@ class TestModularKernel:
         A = YoungFunction.log_bump(p, q)
         a, w = np.array(values), np.array(weights)
         with kernel_on(A, a, w) as plain:
-            expected_S = plain(lam)
+            expected_S = plain(lam)[0]
         with kernel_on(A, a, w, slope=True) as sloped:
             S, D = sloped(lam)
         assert S == expected_S
@@ -207,6 +207,52 @@ class TestModularKernel:
         for A in (YoungFunction.power(2), YoungFunction.log_bump(1, 3)):
             terms = weights * A.value_array(values / 0.8)
             assert modular(A, f, mu, 0.8) == pytest.approx(math.fsum(terms), rel=1e-13)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_one_return_shape(self, q):
+        # every kernel returns (S, D); D is None without the slope
+        A = YoungFunction.log_bump(2.0, q)
+        a, w = np.array([0.3, -1.0, 2.5]), np.array([0.1, 0.2, 0.3])
+        mu, f = atoms(a, w)
+        with kernel_on(A, a, w) as plain:
+            S, D = plain(0.9)
+        assert D is None and S == modular(A, f, mu, 0.9)
+
+
+class TestBlocks:
+    """Every pass over N atoms runs on one partition: _blocks(N)."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 2, 3 * 2**16 + 7, 10**6]
+    )
+    def test_partition(self, n):
+        # ceil(n / 2^16) slices covering range(n) in order, all of one size
+        # but the last, which is no longer
+        blocks = norm_module._blocks(n)
+        assert len(blocks) == -(-n // 2**16)
+        covered = np.concatenate([np.arange(n)[blk] for blk in blocks])
+        assert np.array_equal(covered, np.arange(n))
+        sizes = [len(range(n)[blk]) for blk in blocks]
+        assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ess_sup_on_the_partition(self, sign):
+        # -M and +M on either side of the first boundary of the equal
+        # partition, 49154, not a multiple of 2^16: the block maxima of |f|
+        # and minima of f are those of _blocks' slices, and the top atom is
+        # the first attaining M
+        n = 3 * 2**16 + 7
+        rng = np.random.default_rng(9)
+        values = rng.uniform(-1.0, 1.0, n)
+        blocks = norm_module._blocks(n)
+        edge = blocks[1].start
+        assert edge % 2**16 and edge == blocks[0].stop == 49154
+        values[[edge - 1, edge]] = -2.0 * sign, 2.0 * sign
+        top, big, maxima, minima = norm_module._ess_sup(values)
+        assert (top, big) == (edge - 1, 2.0)
+        assert maxima == [float(np.abs(values[blk]).max()) for blk in blocks]
+        assert minima == [float(values[blk].min()) for blk in blocks]
+        assert maxima[:2] == [2.0, 2.0] and max(maxima[2:]) < 1.0
 
 
 def hexed(result):
@@ -682,12 +728,6 @@ EDGE_CASES = {
 }
 
 
-def kernel_block(n):
-    """Atoms in each of the kernel's ceil(n / 2^16) blocks of equal size, the last
-    one at most this."""
-    return -(-n // -(-n // norm_module._BLOCK))
-
-
 def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
     """luxemburg_norm, and [atom count, slope flag, evaluated lams] of every
     kernel built."""
@@ -883,7 +923,7 @@ class TestPruning:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        block = kernel_block(n)
+        block = norm_module._blocks(n)[0].stop  # atoms in the largest block
         if q == 1.0:
             assert res.pruned_mass == 0.0
             bound = 8 * n + 17 * block
@@ -899,7 +939,7 @@ class TestPruning:
         # atoms are two blocks of 50000
         monkeypatch.setattr(norm_module, "_cpus", lambda: 2)
         for n in (4 * norm_module._BLOCK, 100_000):
-            block = kernel_block(n)
+            block = norm_module._blocks(n)[0].stop  # atoms in the largest block
             mu, f = lognormal_instance(seed=3, n=n)
             for q, bound in ((1.0, 8 * n + 33 * block), (1e5, 17 * block)):
                 A = YoungFunction.log_bump(2.0, q)
@@ -1282,6 +1322,23 @@ class TestCharNormClosedForm:
         assert char_norm_closed_form(A, m) == pytest.approx(expected, rel=1e-12)
 
 
+def _p_norm_oracle_cases():
+    rng = np.random.default_rng(31)
+    signs = rng.choice([-1.0, 1.0], 50)
+    return {
+        "signed": ([3.0, -1.5, 0.0, 2.0, -0.25, -3.0], [0.1, 0.2, 0.3, 0.15, 0.25, 0.05]),
+        "zero": ([0.0, -0.0, 0.0], [0.5, 1.0, 2.0]),
+        "huge": ([1e300, -5e299, 3e299, 0.0, -1e-300], [0.2, 0.3, 0.4, 0.1, 0.5]),
+        "tiny": ([1e-300, -5e-301, 3e-301, 0.0, 2e-308], [0.2, 0.3, 0.4, 0.1, 0.5]),
+        "huge_and_tiny": ([1e300, -1e-300, 2.5, 0.0], [0.2, 0.3, 0.4, 0.1]),
+        "uniform_1e300": (1e300 * rng.uniform(0.1, 1.0, 50) * signs, rng.uniform(0.1, 1.0, 50)),
+        "lognormal_1e-300": (1e-300 * rng.lognormal(0.0, 1.0, 50) * signs, rng.uniform(0.1, 1.0, 50)),
+    }
+
+
+P_NORM_ORACLE_CASES = _p_norm_oracle_cases()
+
+
 class TestPNorm:
     def test_single_atom(self):
         mu, f = atoms([3], [1])
@@ -1309,3 +1366,52 @@ class TestPNorm:
         mu, f = atoms([1], [1])
         with pytest.raises(DomainError):
             p_norm(f, mu, 0.5)
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+    def test_p_outside_young_power_rejected(self, p):
+        # as YoungFunction.power(p), also for an all-zero f
+        for values in ([1.0], [0.0]):
+            mu, f = atoms(values, [1.0])
+            with pytest.raises(DomainError):
+                p_norm(f, mu, p)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 7.5, 100.0, 1e300])
+    @pytest.mark.parametrize("case", sorted(P_NORM_ORACLE_CASES))
+    def test_matches_mpmath(self, case, p):
+        # the kernel's logs are taken on |f_i| / M, whose top is 1: on f
+        # itself they would err by about 2^-53 |log M|, 3e-14 at 1e300
+        values, weights = P_NORM_ORACLE_CASES[case]
+        mu, f = atoms(values, weights)
+        with mpmath.workdps(50):
+            big = max(abs(mpmath.mpf(x)) for x in values)
+            if big == 0:
+                assert p_norm(f, mu, p) == 0.0
+                return
+            power_sum = mpmath.fsum(
+                mpmath.mpf(w) * (abs(mpmath.mpf(x)) / big) ** mpmath.mpf(p)
+                for x, w in zip(values, weights)
+            )
+            true = big * power_sum ** (1 / mpmath.mpf(p))
+        assert p_norm(f, mu, p) == pytest.approx(float(true), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_allocation(self, monkeypatch, cpus):
+        # f / M and the kernel's log weights, 8 B/atom each, and one block
+        # buffer per thread; a whole-array |f|, |f| / M and its power, as
+        # p_norm once formed, take 24 B/atom
+        monkeypatch.setattr(norm_module, "_cpus", lambda: cpus)
+        n = 2**18
+        rng = np.random.default_rng(8)
+        values = rng.lognormal(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        values[::7] = 0.0
+        mu, f = atoms(values, rng.uniform(0.1, 1.0, n) / n)
+        p_norm(f, mu, 2.0)  # first-call allocations are not the call's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p_norm(f, mu, 2.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        bound = 16 * n + 8 * cpus * norm_module._blocks(n)[0].stop
+        assert peak <= bound + 32 * 1024, peak / n

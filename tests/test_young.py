@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import mpmath
@@ -445,3 +446,40 @@ class TestCompare:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             compare(YoungFunction.power(1), YoungFunction.power(2), [])
+
+    @pytest.mark.parametrize("p, q", [(1, 1200), (1, 1e5), (2, 2400), (2, 1e5)])
+    def test_large_q(self, p, q):
+        # from q of about 1170 p the root of B_e(c t) = B_e0(t) at t = 1e-6
+        # lies below the normal range, where a root has too few bits to
+        # solve for: min / t bounds c_t there, and the estimate stays certified
+        e0, e = YoungFunction.log_bump(p, q, shift=E0), YoungFunction.log_bump(p, q, shift=E)
+        forward, backward = compare(e0, e, default_grid()), compare(e, e0, default_grid())
+        assert forward.certified and backward.certified
+        assert forward.c_estimate <= 1.0
+        for A, B, res in ((e0, e, forward), (e, e0, backward)):
+            exact = [compare_constant_mpmath(A, B, t) for t in default_grid()]
+            for t, c in zip(default_grid(), exact):
+                got = compare(A, B, [t]).c_estimate
+                if c * t >= sys.float_info.min:  # a representable root
+                    assert got == pytest.approx(float(c), rel=1e-12)
+                else:
+                    assert got == sys.float_info.min / t >= c
+            assert res.c_estimate == pytest.approx(float(max(exact)), rel=1e-12)
+
+
+def compare_constant_mpmath(A, B, t):
+    """c with B(c t) = A(t), to 50 digits: log B(s) = log A(t) solved in u = log s."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+
+        def log_young(F, u):
+            return F.p * u + F.q * mpmath.log(mpmath.log(F.shift + mpmath.exp(u)))
+
+        target = log_young(A, mpmath.log(t))
+        lo = hi = target / B.p
+        while log_young(B, lo) > target:  # log B rises with slope >= p in u
+            lo -= 1 + abs(lo)
+        while log_young(B, hi) < target:
+            hi += 1 + abs(hi)
+        u = mpmath.findroot(lambda u: log_young(B, u) - target, (lo, hi), solver="illinois")
+        return mpmath.exp(u) / t
