@@ -162,7 +162,7 @@ def _emit(rows: list[dict], columns: list[str], args: argparse.Namespace) -> Non
 
 def _run_norm(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
     mu, f = _load_data(args)
-    A = YoungFunction.log_bump(args.p, args.q, shift=_SHIFTS[args.shift])
+    A = YoungFunction(args.p, args.q, _SHIFTS[args.shift])
     res = luxemburg_norm(A, f, mu, args.tol)
     row = {
         "value": res.value,
@@ -230,8 +230,7 @@ def _run_check_young(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
 
 def _run_compare(args: argparse.Namespace) -> tuple[list[dict], list[str]]:
     grid = parse_schedule(args.grid) if args.grid else default_grid()
-    A_e0 = YoungFunction.log_bump(args.p, args.q, shift=E0)
-    A_e = YoungFunction.log_bump(args.p, args.q, shift=E)
+    A_e0, A_e = YoungFunction(args.p, args.q, E0), YoungFunction(args.p, args.q, E)
     rows = []
     for label, a, b in (("e0_in_e", A_e0, A_e), ("e_in_e0", A_e, A_e0)):
         res = compare(a, b, grid)

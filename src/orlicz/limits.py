@@ -258,9 +258,9 @@ def upper_bound_threshold(
 ) -> ThresholdRecord:
     qs = _validate_grid(q_schedule, "q_schedule")
     top = _nonzero_sup(f, mu)
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
     lam = (1.0 + eps) * top
+    if not (eps > 0.0 and lam < math.inf):  # an infinite lam certifies nothing
+        raise DomainError(f"eps must be positive with (1 + eps) * ess sup finite, got {eps}")
 
     q_star = None
     entries = []
@@ -397,8 +397,7 @@ def equivalence_norm_check(
     inequality on its own; q = 0 gives exactly 1.
     """
     _nonzero_sup(f, mu)
-    A_e0 = YoungFunction.log_bump(p, q, shift=E0)
-    A_e = YoungFunction.log_bump(p, q, shift=E)
+    A_e0, A_e = YoungFunction(p, q, E0), YoungFunction(p, q, E)
     norm_e0 = luxemburg_norm(A_e0, f, mu).value
     norm_e = luxemburg_norm(A_e, f, mu).value
     c_e0_in_e = 1.0
@@ -414,7 +413,7 @@ def equivalence_norm_check(
     )
 
 
-def convergence_rows(report: ConvergenceReport, key: str = "q") -> list[dict]:
+def convergence_rows(report: ConvergenceReport, key: str) -> list[dict]:
     """Flatten a ConvergenceReport to one dict per schedule entry.
 
     Columns: the exponent under `key`, norm, gap, the liminf_floor verdict

@@ -76,8 +76,8 @@ class YoungFunction:
         return cls(p)
 
     @classmethod
-    def log_bump(cls, p: float, q: float, shift: float = E0) -> "YoungFunction":
-        return cls(p, q, shift)
+    def log_bump(cls, p: float, q: float) -> "YoungFunction":
+        return cls(p, q)
 
     def value(self, t: float) -> float:
         """A(t) for scalar t >= 0.  Values beyond the double range come back
@@ -109,24 +109,21 @@ class YoungFunction:
             return lv
         return lv + self.q * math.log(math.log(self.shift + t))
 
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
-        """Solve A(t) = y for t >= 0.
+    def inverse(self, y: float) -> float:
+        """Solve A(t) = y for finite y >= 0, to a log-residual of at most
+        0.5e-12 (|A(t) - y| <= 1e-12 y), or to one ULP where the evaluation
+        noise, about q * 1e-16 relative at extreme q, is larger.  Every root
+        up to the largest double is found; past it NumericError is raised.
 
         d log A / d log t = p + q t / ((shift + t) log(shift + t)) >= p, so
         the root lies between t = 1 and t = exp((log y - log A(1)) / p);
-        Newton steps in log t from t = 1 narrow that bracket (_solve_log).  The
-        returned t satisfies |A(t) - y| <= tol * max(1, y) whenever tol sits
-        above the evaluation noise floor (about q * 1e-16 relative for
-        extreme q); below that floor the bracket is refined to one ULP,
-        which is the best double precision admits.
+        Newton steps in log t from t = 1 narrow that bracket (_solve_log).
         """
-        if not tol > 0.0:
-            raise DomainError(f"tol must be positive, got {tol}")
-        if not y >= 0.0:
-            raise DomainError(f"inverse requires y >= 0, got {y}")
+        if not 0.0 <= y < math.inf:
+            raise DomainError(f"inverse requires finite y >= 0, got {y}")
         if y == 0.0:
             return 0.0
-        return _solve_log(self, math.log(y), 0.5 * tol)[0]
+        return _solve_log(self, math.log(y))[0]
 
 
 def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
@@ -175,14 +172,14 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
             x = hi if g_hi == math.inf and lo < hi else None
 
 
-def _solve_log(A: YoungFunction, target: float, tol_log: float) -> tuple[float, float]:
+def _solve_log(A: YoungFunction, target: float, tol_log: float = 0.5e-12) -> tuple[float, float]:
     """(t, log A(t) - target): t > 0 with log A(t) = target, to |residual| <= tol_log or one ULP.
 
     Newton steps in log t from t = 1 (_root), with the slope d log A / d log t
     = p + q t / ((shift + t) log(shift + t)) >= p: the first lands between 1
     and the bracket end exp((target - log A(1)) / p), on the root when q = 0.
-    That end is clamped to the double range; a root beyond the clamp leaves
-    a log-residual that raises NumericError.
+    That end is clamped to [exp(-745), the largest double]; a root beyond
+    the clamp leaves a log-residual that raises NumericError.
     """
     def g(t):
         """(log A(t) - target, the Newton step in log t from t)."""
@@ -193,7 +190,7 @@ def _solve_log(A: YoungFunction, target: float, tol_log: float) -> tuple[float, 
         return r, s if s != t or r == 0.0 else math.nextafter(t, 0.0 if r > 0.0 else math.inf)
 
     g1, x = g(1.0)
-    end = math.exp(min(max(-g1 / A.p, -745.0), 709.0))  # finite and nonzero
+    end = math.exp(min(max(-g1 / A.p, -745.0), math.log(sys.float_info.max)))  # finite, > 0
     lo, g_lo, hi, g_hi = (1.0, g1, end, math.inf) if g1 < 0.0 else (end, math.inf, 1.0, g1)
     t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi, x)
     if abs(res) > max(tol_log, 1e-6):

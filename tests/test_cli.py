@@ -98,6 +98,14 @@ class TestCommands:
         assert out[0].startswith("value,")
         assert float(out[1].split(",")[0]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [1e-308, 5.6e-309])
+    def test_norm_indicator_inverse_past_exp_709(self, capsys, m):
+        # the bracket's inverses 1/m lie past exp(709) ~ 8.2e307, below the largest double
+        assert run_cli("norm", "--preset", f"indicator:{m!r}", "--p", "1", "--q", "0") == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[0]) == pytest.approx(
+            m, rel=1e-10
+        )
+
     def test_sweep_reproduces_library_numbers(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli(

@@ -263,6 +263,13 @@ class TestUpperBoundThreshold:
         with pytest.raises(DomainError):
             upper_bound_threshold(f, mu, 1.0, 0.0, [1.0])
 
+    @pytest.mark.parametrize("eps", [math.inf, 1e308])
+    def test_overflowing_lam_rejected(self, eps):
+        # lam = inf makes every modular 0, a certificate that cannot fail
+        mu, f = atoms([2.0, 0.5], [0.3, 0.5])
+        with pytest.raises(DomainError, match=r"\(1 \+ eps\) \* ess sup finite"):
+            upper_bound_threshold(f, mu, 1.0, eps, [1.0, 2.0])
+
     def test_top_atom_factor_vanishes(self):
         # at the maximal atom the ratio is 1/(1+eps), and e0 + 1/(1+eps) < e
         # puts the log base below 1, so the integrand dies out as q grows
@@ -438,7 +445,7 @@ class TestEquivalence:
             mu, f = atoms(values, weights)
             rec = equivalence_norm_check(f, mu, p, q)
             for shift, value in ((E0, rec.norm_e0), (E, rec.norm_e)):
-                A = YoungFunction.log_bump(p, q, shift=shift)
+                A = YoungFunction(p, q, shift)
                 assert abs(modular_longdouble(A, values, weights, value) - 1) <= DEFAULT_TOL
             assert rec.passed
 

@@ -302,7 +302,7 @@ def set_up_cut(A, values, weights, tol=norm_module.DEFAULT_TOL):
     absf = np.abs(values)
     top, mass = int(np.argmax(absf)), float(np.sum(weights))
     lo, _ = norm_module._closed_form_bracket(A, absf[top], weights[top], mass, len(values))
-    return lo * A.inverse(0.25 * tol / mass, tol=1e-3)
+    return lo * norm_module._solve_log(A, math.log(0.25 * tol / mass), 0.5e-3)[0]
 
 
 def _ties_across_blocks():
@@ -643,9 +643,9 @@ class TestLuxemburgNorm:
         calls = []
         solve_log = norm_module._solve_log
 
-        def recording(A, target, tol_log):
+        def recording(A, target, *tol_log):
             calls.append(target)
-            return solve_log(A, target, tol_log)
+            return solve_log(A, target, *tol_log)
 
         monkeypatch.setattr(norm_module, "_solve_log", recording)
         res = luxemburg_norm(B11, f, mu)
@@ -1305,6 +1305,11 @@ class TestCharNormClosedForm:
         # log A(t) = -inf has no root t > 0
         with pytest.raises(DomainError, match="mass must be positive and finite"):
             char_norm_closed_form(B11, math.inf)
+
+    @pytest.mark.parametrize("m", [1e-308, 5.6e-309])
+    def test_inverse_past_exp_709(self, m):
+        # A^{-1}(1/m) = 1/m lies between exp(709) ~ 8.2e307 and the largest double
+        assert char_norm_closed_form(YoungFunction.power(1), m) == pytest.approx(m, rel=1e-12)
 
     @pytest.mark.parametrize(
         "p, q, m", [(1, 1, 5e-309), (1, 1, 1e-310), (2, 1, 1e-320), (1, 100, 5e-309), (2, 0, 5e-309)]

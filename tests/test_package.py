@@ -36,20 +36,18 @@ MODULE_ONLY = {
 
 # Every optional parameter of a public callable, so that an option is added
 # or removed only together with this table.  The census covers each function
-# in orlicz.__all__, each public method of a class there, and the constructor
-# of each dataclass there.  The six options each have a caller that sets them:
-# the CLI's --q, --shift and --tol, and luxemburg_norm's pruning cut, which
-# passes inverse tol=1e-3.
+# in orlicz.__all__ or MODULE_ONLY, each public method of a class there, and
+# the constructor of each dataclass there.  The four options each have a
+# caller that sets them: the CLI's --q, --shift and --tol.
 OPTIONS = {
     "YoungFunction": ("q", "shift"),
-    "YoungFunction.log_bump": ("shift",),
-    "YoungFunction.inverse": ("tol",),
     "luxemburg_norm": ("tol",),
     "limit_sweep": ("tol",),
 }
 # Field defaults of the records the library builds and returns; no caller
 # constructs these, so their defaults are not options.
 RECORD_DEFAULTS = {
+    "AxiomCheck": ("violation_t",),
     "NormResult": ("pruned_mass", "pruned_bound"),
 }
 
@@ -63,8 +61,13 @@ def optional_parameters():
         if optional:
             found[name] = optional
 
-    for name in orlicz.__all__:
-        obj = getattr(orlicz, name)
+    public = [(name, getattr(orlicz, name)) for name in orlicz.__all__]
+    public += [
+        (name, getattr(importlib.import_module(f"orlicz.{module}"), name))
+        for module, names in MODULE_ONLY.items()
+        for name in names
+    ]
+    for name, obj in public:
         if inspect.isfunction(obj):
             record(name, obj)
         elif inspect.isclass(obj):
@@ -80,7 +83,7 @@ def optional_parameters():
 
 def test_optional_parameters_are_pinned():
     assert optional_parameters() == {**OPTIONS, **RECORD_DEFAULTS}
-    assert sum(len(names) for names in OPTIONS.values()) == 6
+    assert sum(len(names) for names in OPTIONS.values()) == 4
 
 
 def test_young_function_is_not_callable():
