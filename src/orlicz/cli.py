@@ -34,12 +34,11 @@ from .measure import (
     quadrature_from_samples,
 )
 from .norm import DEFAULT_TOL, luxemburg_norm
-from .young import E0, E, YoungFunction, check_young, compare, default_grid
+from .young import _LOG_MAX, E0, E, YoungFunction, check_young, compare, default_grid
 
 __all__ = ["main", "build_preset", "parse_schedule"]
 
 _SHIFTS = {"e0": E0, "e": E}
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def parse_schedule(spec: str) -> tuple[float, ...]:

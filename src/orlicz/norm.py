@@ -39,18 +39,19 @@ whole in the log domain, so it is inf only when that itself overflows, and
 log(shift + |f_i|/lam) is taken as logaddexp(log|f_i| - log lam, log shift).
 
 On an input of at least _NEWTON_MIN_ATOMS atoms, however few are kept,
-each evaluation proposes the Newton step from its point (_newton_step).
-By the delta substitution the slope
+each evaluation returns the Newton step in log lam (_newton_step), which
+young._root turns into a point.  By the delta substitution the slope
 d log A / d log t = p + q t / ((shift + t) log(shift + t)) is closed form,
 so the kernel sums the modular's slope in the same pass, and the loop
 starts at lo, where the modular is >= 1, so that evaluating it cannot
 move the bracket and only proposes the first step.  From _SEED_MIN_ATOMS
-kept atoms that step comes instead from the modular and its slope at lo
-on a strided sample of about 2^11 of them (_seed), and the loop starts
-there if it lies inside the bracket: one full evaluation fewer, 3 instead
-of 4 on 1e5 and 1e6 lognormal atoms at q = 1.  Smaller inputs bisect: the
-benchmark keeps a record per q-ladder call (2-32 atoms), so that a speed-up
-past 2.5x reads as a peak_rss_mb regression, and on small inputs the gaps
+kept atoms that step comes instead from the modular and its slope at lo on
+a strided sample of about 2^11 of them (_seed), and the loop starts there
+if it lies inside the bracket: one full evaluation fewer, 3 instead of 4
+on 1e5 and 1e6 lognormal atoms at q = 1.  Smaller inputs bisect: the
+benchmark keeps a record per q-ladder call (2-32 atoms), 0.65 KB each
+(68.5 MB over 46615 calls), so a speed-up past about 1.35x reads as a
+peak_rss_mb regression (bound 0.15), and on small inputs the gaps
 |norm - M| that limit_sweep compares at large q are where bisection stops.
 """
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .measure import DiscreteMeasure, SampledFunction, check_aligned, ess_sup
-from .young import YoungFunction, _root, _solve_log
+from .young import YoungFunction, _log_step, _root, _solve_log
 
 __all__ = [
     "NormStatus",
@@ -381,9 +382,9 @@ def luxemburg_norm(
         x = _seed(A, values, weights, big, float(mu.weights[top]), kept_mass, lo)
         start = x if lo < x < hi else lo
     with _modular_kernel(A, values, weights, big, signed, start is not None) as modular_at:
-        def g(lam):  # (1 - S at lam, the Newton step from lam or, to bisect, None)
+        def g(lam):  # (1 - S at lam, the Newton step in log lam or, to bisect, None)
             s, d = modular_at(lam)
-            return 1.0 - s, None if d is None else _newton_step(lam, s, d)
+            return 1.0 - s, None if d is None else _newton_step(s, d)
 
         lam, h, lo, hi, evaluations = _root(g, lo, hi, tol - pruned_bound, x=start)
     residual = abs(h) + pruned_bound
@@ -393,8 +394,8 @@ def luxemburg_norm(
             f"residual {residual:.3e} > tol {tol:g}"
         )
     if residual <= tol:  # F' >= p: the root is within (|log S| + eps)/p in u
-        m = min((abs(math.log1p(-h)) + _log_sum_error(A, big, lam, len(values))) / A.p, 709.0)
-        lo, hi = max(lo, lam * math.exp(-m - 2.0**-50)), min(hi, lam * math.exp(m + 2.0**-50))
+        m = (abs(math.log1p(-h)) + _log_sum_error(A, big, lam, len(values))) / A.p + 2.0**-50
+        lo, hi = max(lo, _log_step(lam, -m)), min(hi, _log_step(lam, m))
     return NormResult(
         lam, lo, hi, residual, evaluations, NormStatus.FINITE, pruned_mass, pruned_bound
     )
@@ -410,8 +411,7 @@ def _closed_form_bracket(A: YoungFunction, big: float, w_top: float, mass: float
         L = math.log(A.shift + t) if A.q > 0.0 else 1.0  # a power's shift may be <= 1
         noise = abs(A.p * math.log(t)) + abs(target) + A.q * (abs(math.log(L)) + 1.0 + 1.0 / L)
         margin = (abs(res) + sum_error + 2.0**-50 * noise) / A.p + 2.0**-50
-        # exp raises past 709, where hi is capped at the largest double anyway
-        ends.append(min(big / t * math.exp(min(side * margin, 709.0)), sys.float_info.max))
+        ends.append(min(_log_step(big / t, side * margin), sys.float_info.max))
     return tuple(ends)
 
 
@@ -428,7 +428,7 @@ def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int) -> float:
 
 
 def _seed(A, values, weights, big, w_top, kept_mass, lo):
-    """The Newton step from lo on a strided sample of about _SEED_SAMPLE kept
+    """The Newton point from lo on a strided sample of about _SEED_SAMPLE kept
     atoms, scaled to the kept mass less the top atom's weight, whose largest
     gives way to the top atom at its own weight.  Its kernel is freed on return."""
     k = len(values) // _SEED_SAMPLE
@@ -436,15 +436,13 @@ def _seed(A, values, weights, big, w_top, kept_mass, lo):
     j = int(np.argmax(a))
     a[j], w[j] = big, w_top
     with _modular_kernel(A, a, w, big, False, slope=True) as sample_at:
-        return _newton_step(lo, *sample_at(lo))
+        return _log_step(lo, _newton_step(*sample_at(lo)))
 
 
-def _newton_step(lam: float, m: float, d: float) -> float:
-    """The Newton step in u = log(M / lam) from (S, D) = (m, d) at lam:
-    F(u) = log S increases with F' = D / S, so it multiplies lam by
-    exp(log S * S / D); nan where S is 0 or inf, which _root rejects."""
-    u = math.log(m) / (d / m) if 0.0 < m < math.inf else math.nan
-    return lam * math.exp(min(u, 709.0))  # exp raises past 709
+def _newton_step(s: float, d: float) -> float:
+    """The Newton step log S / (D / S) in log lam from the modular S = s and its slope
+    D = d, as F = log S increases in u = log(M / lam) with F' = D / S; nan where S is 0 or inf."""
+    return math.log(s) / (d / s) if 0.0 < s < math.inf else math.nan
 
 
 def char_norm_closed_form(A: YoungFunction, m: float) -> float:

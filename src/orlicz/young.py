@@ -35,6 +35,7 @@ E0 = math.e - 1.0  # log(E0 + 1) == 1
 E = math.e
 
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)  # exp overflows past it, and underflows to 0 silently
 _GRID_SLACK = math.log1p(1e-9)  # check_young's and compare's relative slack 1e-9, in logs
 
 
@@ -114,10 +115,7 @@ class YoungFunction:
         0.5e-12 (|A(t) - y| <= 1e-12 y), or to one ULP where the evaluation
         noise, about q * 1e-16 relative at extreme q, is larger.  Every root
         up to the largest double is found; past it NumericError is raised.
-
-        d log A / d log t = p + q t / ((shift + t) log(shift + t)) >= p, so
-        the root lies between t = 1 and t = exp((log y - log A(1)) / p);
-        Newton steps in log t from t = 1 narrow that bracket (_solve_log).
+        Newton steps in log t find it inside a closed-form bracket (_solve_log).
         """
         if not 0.0 <= y < math.inf:
             raise DomainError(f"inverse requires finite y >= 0, got {y}")
@@ -126,26 +124,30 @@ class YoungFunction:
         return _solve_log(self, math.log(y))[0]
 
 
+def _log_step(x: float, step: float) -> float:
+    """x * exp(step), the solvers' one log-scale move, clamped against overflow only."""
+    return x * math.exp(min(step, _LOG_MAX))
+
+
 def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
     """Root of increasing g on [lo, hi], 0 <= lo, where g(lo) <= 0 <= g(hi).
 
     The package's one root loop: evaluate a point, let the sign of g there
     replace one end of the bracket, pick the next point.  g(x) returns
-    (g(x), proposal): the point it proposes to evaluate next, or None to
-    bisect.  x, when given, is evaluated first.  A proposal not strictly
+    (g(x), step): the Newton step in log x, or None to bisect.  x, when
+    given, is evaluated first.  The next point is _log_step(x, step), or the
+    next double toward the root where that rounds to x; one not strictly
     inside the bracket (nan included) gives way to hi if hi was never
-    evaluated, else to the midpoint.  The midpoint is geometric,
-    sqrt(lo * hi), so a bracket spanning many decades shrinks in relative
-    width at the same rate as a narrow one; the arithmetic midpoint stands
-    in when the geometric one is not strictly inside (lo = 0, or
-    near-adjacent doubles).  Returns (x, g(x), lo, hi, evaluations) with
-    the final bracket.  x is the first point with
-    |g(x)| <= tol.  Once neither midpoint lies strictly inside the bracket,
-    x is the end with the smaller known |g|; g_lo and g_hi are the values at
-    the starting ends, inf when not evaluated, and an end returned without
-    a value is evaluated there.  Every evaluation but those of x and hi
-    shrinks the bracket to a strictly smaller set of doubles, so the loop
-    ends.
+    evaluated, else to the midpoint, sqrt(lo * hi), so that a bracket over
+    many decades shrinks as fast in relative width as a narrow one, or the
+    arithmetic one where that is not strictly inside (lo = 0, or
+    near-adjacent doubles).  Returns (x, g(x), lo, hi, evaluations) with the
+    final bracket: x is the first point with |g(x)| <= tol, or, once no
+    midpoint lies strictly inside the bracket, the end with the smaller
+    known |g|.  g_lo and g_hi are the values at the starting ends, inf when
+    not evaluated; an end returned without one is evaluated there.  Every
+    evaluation but those of x and hi shrinks the bracket to a strictly
+    smaller set of doubles, so the loop ends.
     """
     evaluations = 0
     while True:
@@ -159,7 +161,7 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
                     g_x = g(x)[0]
                     evaluations += 1
                 return x, g_x, lo, hi, evaluations
-        g_x, proposal = g(x)
+        g_x, step = g(x)
         evaluations += 1
         if abs(g_x) <= tol:
             return x, g_x, lo, hi, evaluations
@@ -167,8 +169,12 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
             lo, g_lo = x, g_x
         else:
             hi, g_hi = x, g_x
-        x = proposal
-        if x is not None and not lo < x < hi:  # nan is never inside
+        if step is None:
+            x = None
+            continue
+        s = _log_step(x, step)  # x itself for a step below half an ULP: the next double
+        x = s if s != x else math.nextafter(x, 0.0 if g_x > 0.0 else math.inf)
+        if not lo < x < hi:  # nan is never inside
             x = hi if g_hi == math.inf and lo < hi else None
 
 
@@ -178,23 +184,20 @@ def _solve_log(A: YoungFunction, target: float, tol_log: float = 0.5e-12) -> tup
     Newton steps in log t from t = 1 (_root), with the slope d log A / d log t
     = p + q t / ((shift + t) log(shift + t)) >= p: the first lands between 1
     and the bracket end exp((target - log A(1)) / p), on the root when q = 0.
-    That end is clamped to [exp(-745), the largest double]; a root beyond
-    the clamp leaves a log-residual that raises NumericError.
+    That end is kept in [exp(-745), DBL_MAX]; a root past it raises NumericError.
     """
     def g(t):
         """(log A(t) - target, the Newton step in log t from t)."""
         r = A.log_value(t) - target
         slope = A.p + (A.q * (t / (A.shift + t)) / math.log(A.shift + t) if A.q > 0.0 else 0.0)
-        s = t * math.exp(min(max(-r / slope, -745.0), 709.0))
-        # a step below half an ULP, which noise above tol_log leaves: the next double
-        return r, s if s != t or r == 0.0 else math.nextafter(t, 0.0 if r > 0.0 else math.inf)
+        return r, -r / slope
 
-    g1, x = g(1.0)
-    end = math.exp(min(max(-g1 / A.p, -745.0), math.log(sys.float_info.max)))  # finite, > 0
+    g1, step = g(1.0)
+    end = _log_step(1.0, max(-g1 / A.p, -745.0))  # finite, > 0
     lo, g_lo, hi, g_hi = (1.0, g1, end, math.inf) if g1 < 0.0 else (end, math.inf, 1.0, g1)
-    t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi, x)
+    t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi, _log_step(1.0, step))
     if abs(res) > max(tol_log, 1e-6):
-        # bracket collapsed far from the target, or the root is past the clamp
+        # bracket collapsed far from the target, or the root is past the largest double
         raise NumericError(
             f"inverse did not converge: log-residual {res:.3e} at t={t!r} "
             f"(bracket [{lo!r}, {hi!r}])"
@@ -314,7 +317,7 @@ def compare(A: YoungFunction, B: YoungFunction, grid) -> ComparisonResult:
     c_best, floor = 0.0, B.log_value(sys.float_info.min)
     for t in pts:
         target = A.log_value(t)  # below floor the root has too few bits: min / t bounds c_t
-        s = sys.float_info.min if target <= floor else _solve_log(B, target, 1e-13)[0]
+        s = sys.float_info.min if target <= floor else _solve_log(B, target)[0]
         c_best = max(c_best, s / t)
     certified = all(A.log_value(t) <= B.log_value(c_best * t) + _GRID_SLACK for t in pts)
     return ComparisonResult(c_best, tuple(pts), certified)

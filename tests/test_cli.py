@@ -34,7 +34,17 @@ class TestParseSchedule:
 
     @pytest.mark.parametrize(
         "bad",
-        ["1:2:3", "1:2:3:geo", "2:1:3:log", "0:10:3:log", "1:2:1:lin", "a:2:3:log"],
+        [
+            "1:2:3",
+            "1:2:3:geo",
+            "2:1:3:log",
+            "0:10:3:log",
+            "1:2:1:lin",
+            "a:2:3:log",
+            # start < stop, but three points in one ULP repeat a value
+            "1:1.0000000000000002:3:lin",
+            "1:1.0000000000000002:3:log",
+        ],
     )
     def test_rejects(self, bad):
         with pytest.raises(InputError):

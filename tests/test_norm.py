@@ -1160,6 +1160,18 @@ class TestCoarseStart:
         assert math.nextafter(res.bracket_lo, math.inf) == res.bracket_hi
         assert res.value in (res.bracket_lo, res.bracket_hi)
 
+    def test_step_below_half_an_ulp_takes_the_next_double(self, monkeypatch):
+        # at p = 1, q = 1e7 one ULP of lam moves the modular by about 2e-9,
+        # above tol, so near the root a Newton step rounds to its start.  The
+        # loop then evaluates the next double toward the root, where taking
+        # midpoints of the bracket down to one ULP took 40 evaluations
+        mu, f = lognormal_instance(seed=7, n=1024)
+        res, kernels = traced_norm(monkeypatch, YoungFunction.log_bump(1, 1e7), f, mu)
+        [(_, slope, lams)] = kernels
+        assert slope and res.iterations == len(lams) <= 10
+        assert math.nextafter(res.bracket_lo, math.inf) == res.bracket_hi
+        assert res.value in (res.bracket_lo, res.bracket_hi)
+
     @pytest.mark.parametrize("q", [0.0, 100.0])
     def test_overshooting_slope(self, monkeypatch, q):
         # a slope read 1000 times too small sends every step out of the

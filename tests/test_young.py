@@ -264,14 +264,15 @@ class TestInverse:
             assert abs(A.value(t) - y) <= 1e-9 * max(1.0, y)
 
 
-def recorded_line(root, proposals=None):
-    """Increasing g(x) = x - root, with the next of proposals (None: bisect)
-    as its proposal, and the list of points it is evaluated at."""
+def recorded_line(root, targets=None):
+    """Increasing g(x) = x - root, whose step in log x leads to the next of
+    targets (None: bisect), and the list of points it is evaluated at."""
     xs = []
 
     def g(x):
         xs.append(x)
-        return x - root, None if proposals is None else next(proposals)
+        target = None if targets is None else next(targets)
+        return x - root, None if target is None else math.log(target / x)
 
     return g, xs
 
@@ -281,7 +282,7 @@ class TestRoot:
 
     @pytest.mark.parametrize("lo", [0.0, 1e-300, 0.5])
     def test_bisection_is_geometric(self, lo):
-        # no proposal: every point is sqrt(lo) * sqrt(hi) of the bracket so far,
+        # no step: every point is sqrt(lo) * sqrt(hi) of the bracket so far,
         # or the arithmetic midpoint where that is not strictly inside
         g, xs = recorded_line(3.0)
         x, g_x, _, _, evaluations = _root(g, lo, 1e6, 1e-12)
@@ -293,18 +294,40 @@ class TestRoot:
             a, b = (x, b) if x < 3.0 else (a, x)
 
     def test_proposal_inside_is_evaluated(self):
+        # the step to 5.0 lands on 4.999999999999999, as x * exp(log(5.0 / x))
         g, xs = recorded_line(3.0, iter([5.0, 2.5, 3.0, None]))
         x, g_x, lo, hi, evaluations = _root(g, 1.0, 10.0, 0.0, x=1.0)
-        assert xs == [1.0, 5.0, 2.5, 3.0]
-        assert (x, g_x, lo, hi, evaluations) == (3.0, 0.0, 2.5, 5.0, 4)
+        assert xs == [1.0, math.nextafter(5.0, 0.0), 2.5, 3.0]
+        assert (x, g_x, lo, hi, evaluations) == (3.0, 0.0, 2.5, xs[1], 4)
 
     @pytest.mark.parametrize("bad", [20.0, 10.0, 1.0, 0.5, math.nan])
     def test_proposal_outside_takes_hi_once_then_midpoints(self, bad):
+        # every step leads to bad.  Where bad is the point itself (1.0 from
+        # the start, 10.0 from hi) the step is 0 and moves one double toward
+        # the root; from there bad lies outside the bracket
         g, xs = recorded_line(3.0, itertools.repeat(bad))
         x, g_x, _, _, evaluations = _root(g, 1.0, 10.0, 1e-12, x=1.0)
-        assert xs[:3] == [1.0, 10.0, math.sqrt(10.0)]
+        expected = {
+            1.0: [1.0, math.nextafter(1.0, 2.0), 10.0],
+            10.0: [1.0, 10.0, math.nextafter(10.0, 0.0)],
+        }.get(bad, [1.0, 10.0, math.sqrt(10.0)])
+        assert xs[:3] == expected
         assert xs.count(10.0) == 1
         assert evaluations == len(xs) and abs(g_x) <= 1e-12
+
+    @pytest.mark.parametrize("step", [0.0, 1e-17, -1e-17])
+    @pytest.mark.parametrize("start", [1.0, 10.0])
+    def test_step_rounding_to_its_start_moves_one_double(self, start, step):
+        # a step below half an ULP of x proposes x itself: the loop takes the
+        # next double on the root side, down where g > 0 and up where g < 0
+        xs = []
+
+        def g(x):
+            xs.append(x)
+            return x - 3.0, step if len(xs) == 1 else None
+
+        _root(g, 1.0, 10.0, 1e-12, x=start)
+        assert xs[1] == math.nextafter(start, 3.0)
 
     def test_exhausted_bracket_returns_the_better_end(self):
         g, xs = recorded_line(1.0)
