@@ -114,8 +114,8 @@ class YoungFunction:
         """Solve A(t) = y for finite y >= 0, to a log-residual of at most
         0.5e-12 (|A(t) - y| <= 1e-12 y), or to one ULP where the evaluation
         noise, about q * 1e-16 relative at extreme q, is larger.  Every root
-        up to the largest double is found; past it NumericError is raised.
-        Newton steps in log t find it inside a closed-form bracket (_solve_log).
+        up to the largest double is found by Newton steps in log t (_solve_log),
+        within 130 evaluations; a root out of reach raises NumericError.
         """
         if not 0.0 <= y < math.inf:
             raise DomainError(f"inverse requires finite y >= 0, got {y}")
@@ -129,7 +129,7 @@ def _log_step(x: float, step: float) -> float:
     return x * math.exp(min(step, _LOG_MAX))
 
 
-def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
+def _root(g, lo, hi, tol, x=None):
     """Root of increasing g on [lo, hi], 0 <= lo, where g(lo) <= 0 <= g(hi).
 
     The package's one root loop: evaluate a point, let the sign of g there
@@ -144,11 +144,12 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
     near-adjacent doubles).  Returns (x, g(x), lo, hi, evaluations) with the
     final bracket: x is the first point with |g(x)| <= tol, or, once no
     midpoint lies strictly inside the bracket, the end with the smaller
-    known |g|.  g_lo and g_hi are the values at the starting ends, inf when
-    not evaluated; an end returned without one is evaluated there.  Every
-    evaluation but those of x and hi shrinks the bracket to a strictly
-    smaller set of doubles, so the loop ends.
+    known |g|, evaluated there if it never was.  From the 64th evaluation on
+    only midpoints are taken; each halves the bracket's log-width, and 64
+    halvings take [ulp(0), DBL_MAX] to adjacent doubles, so with lo > 0 the
+    loop ends within 130 evaluations.
     """
+    g_lo = g_hi = math.inf  # the mark of an end never evaluated (or where g overflowed)
     evaluations = 0
     while True:
         if x is None:
@@ -157,7 +158,7 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
                 x = lo + 0.5 * (hi - lo)
             if not lo < x < hi:
                 x, g_x = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
-                if g_x == math.inf:  # the mark of an end never evaluated; no g returns +inf
+                if g_x == math.inf:
                     g_x = g(x)[0]
                     evaluations += 1
                 return x, g_x, lo, hi, evaluations
@@ -169,7 +170,7 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
             lo, g_lo = x, g_x
         else:
             hi, g_hi = x, g_x
-        if step is None:
+        if step is None or evaluations >= 64:
             x = None
             continue
         s = _log_step(x, step)  # x itself for a step below half an ULP: the next double
@@ -181,10 +182,10 @@ def _root(g, lo, hi, tol, g_lo=math.inf, g_hi=math.inf, x=None):
 def _solve_log(A: YoungFunction, target: float, tol_log: float = 0.5e-12) -> tuple[float, float]:
     """(t, log A(t) - target): t > 0 with log A(t) = target, to |residual| <= tol_log or one ULP.
 
-    Newton steps in log t from t = 1 (_root), with the slope d log A / d log t
-    = p + q t / ((shift + t) log(shift + t)) >= p: the first lands between 1
-    and the bracket end exp((target - log A(1)) / p), on the root when q = 0.
-    That end is kept in [exp(-745), DBL_MAX]; a root past it raises NumericError.
+    One _root call on [ulp(0), DBL_MAX], Newton steps in log t from t = 1 with
+    the slope d log A / d log t = p + q t / ((shift + t) log(shift + t)) >= p,
+    whose first lands on the root when q = 0.  A root past either end raises
+    NumericError.
     """
     def g(t):
         """(log A(t) - target, the Newton step in log t from t)."""
@@ -192,12 +193,9 @@ def _solve_log(A: YoungFunction, target: float, tol_log: float = 0.5e-12) -> tup
         slope = A.p + (A.q * (t / (A.shift + t)) / math.log(A.shift + t) if A.q > 0.0 else 0.0)
         return r, -r / slope
 
-    g1, step = g(1.0)
-    end = _log_step(1.0, max(-g1 / A.p, -745.0))  # finite, > 0
-    lo, g_lo, hi, g_hi = (1.0, g1, end, math.inf) if g1 < 0.0 else (end, math.inf, 1.0, g1)
-    t, res, lo, hi, _ = _root(g, lo, hi, tol_log, g_lo, g_hi, _log_step(1.0, step))
+    t, res, lo, hi, _ = _root(g, math.ulp(0.0), sys.float_info.max, tol_log, x=1.0)
     if abs(res) > max(tol_log, 1e-6):
-        # bracket collapsed far from the target, or the root is past the largest double
+        # bracket collapsed far from the target, or the root is outside the double range
         raise NumericError(
             f"inverse did not converge: log-residual {res:.3e} at t={t!r} "
             f"(bracket [{lo!r}, {hi!r}])"

@@ -244,6 +244,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_shift_e_precision_wall_is_numeric_error(self, capsys):
+        # the root of the closed-form end lies where E + t rounds to E: the
+        # bounded root loop gives up with one error line and exit 2
+        assert run_cli("norm", "--preset", "indicator:0.5", "--p", "1", "--q", "1e50",
+                       "--shift", "e") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: inverse did not converge")
+
     def test_non_finite_schedule_reaches_stderr(self, capsys):
         assert run_cli("sweep", "--preset", "indicator:1", "--p", "1",
                        "--q-grid", "1:inf:3:log") == 1

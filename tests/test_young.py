@@ -16,6 +16,7 @@ from orlicz import (
     InputError,
     NumericError,
     YoungFunction,
+    char_norm_closed_form,
     check_young,
     compare,
     default_grid,
@@ -43,6 +44,42 @@ def grid_scan_inverse_y2():
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def counted_log_value(monkeypatch):
+    """The list to which every YoungFunction.log_value call appends its t."""
+    calls = []
+    log_value = YoungFunction.log_value
+    monkeypatch.setattr(YoungFunction, "log_value", lambda A, t: calls.append(t) or log_value(A, t))
+    return calls
+
+
+def newton_grid(monkeypatch, shift, qs):
+    """(A, y, A.inverse(y) or None where it raises NumericError, log_value
+    calls) for p in {1, 2, 100, 1e4}, q in qs and y = 10^k, k = -300..300
+    in steps of 25."""
+    calls = counted_log_value(monkeypatch)
+    for p, q in itertools.product([1.0, 2.0, 100.0, 1e4], qs):
+        A = YoungFunction(p, q, shift)
+        for k in range(-300, 301, 25):
+            calls.clear()
+            y = 10.0**k
+            try:
+                t = A.inverse(y)
+            except NumericError:
+                t = None
+            yield A, y, t, len(calls)
+
+
+def assert_exact_inverse(A, y, t):
+    """t meets the default tol in a 40-digit log-residual or lies within 3
+    ULPs of the exact root of A(t) = y."""
+    with mpmath.workdps(40):
+        shift, log_y = mpmath.mpf(A.shift), mpmath.log(y)
+        F = lambda u: A.p * u + A.q * mpmath.log(mpmath.log(shift + mpmath.exp(u))) - log_y
+        u = mpmath.log(t)
+        ulps = abs(t - mpmath.exp(mpmath.findroot(F, u))) / math.ulp(t)
+        assert abs(F(u)) <= 1e-12 or ulps <= 3, (A, y)
 
 
 class TestEval:
@@ -224,24 +261,43 @@ class TestInverse:
         # t meets the default tol in a 40-digit log-residual or, where the
         # evaluation noise (q >= 1e5) or one ULP of t (p = 1e4) exceeds it,
         # lies within 3 ULPs of the exact root
-        calls = []
-        log_value = YoungFunction.log_value
-        monkeypatch.setattr(YoungFunction, "log_value", lambda A, t: calls.append(t) or log_value(A, t))
         counts = []
-        for p, q in itertools.product([1.0, 2.0, 100.0, 1e4], [0.0, 1.0, 100.0, 1e5, 1e9]):
-            A = YoungFunction.log_bump(p, q)
-            for k in range(-300, 301, 25):
-                calls.clear()
-                y = 10.0**k
-                t = A.inverse(y)
-                counts.append(len(calls))
-                with mpmath.workdps(40):
-                    shift, log_y = mpmath.mpf(A.shift), mpmath.log(y)
-                    F = lambda u: p * u + q * mpmath.log(mpmath.log(shift + mpmath.exp(u))) - log_y
-                    u = mpmath.log(t)
-                    ulps = abs(t - mpmath.exp(mpmath.findroot(F, u))) / math.ulp(t)
-                    assert abs(F(u)) <= 1e-12 or ulps <= 3, (p, q, k)
+        for A, y, t, calls in newton_grid(monkeypatch, E0, [0.0, 1.0, 100.0, 1e5, 1e9]):
+            counts.append(calls)
+            assert_exact_inverse(A, y, t)
         assert len(counts) == 500 and sum(counts) / len(counts) <= 10 and max(counts) <= 12
+
+    def test_newton_grid_shift_e(self, monkeypatch):
+        # shift e: E + t rounds to E below t ~ 2.2e-16, where the computed
+        # log A is flat and the Newton steps move about one ULP each; after
+        # 64 evaluations the loop only bisects, so every inverse returns or
+        # raises within 130 calls.  The 40-digit check holds for q <= 100
+        # only: from q = 1e5 on the small y have roots where log A cannot
+        # see them
+        counts = []
+        for A, y, t, calls in newton_grid(monkeypatch, E, [1.0, 100.0, 1e5, 1e9, 1e13, 1e20, 1e50]):
+            counts.append(calls)
+            if A.q <= 100.0:
+                assert_exact_inverse(A, y, t)
+        assert len(counts) == 700 and max(counts) <= 130
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: YoungFunction(1.0, 1e50, E).inverse(0.5),
+            lambda: char_norm_closed_form(YoungFunction(1.0, 1e50, E), 2.0),
+            lambda: YoungFunction(1.0, 1e25, E).inverse(0.5),
+        ],
+        ids=["inverse-q1e50", "char-norm-q1e50", "inverse-q1e25"],
+    )
+    def test_shift_e_precision_wall_raises(self, monkeypatch, solve):
+        # the root, t = e - E ~ 1.4456e-16 for the double E, lies where E + t
+        # rounds to E, so no computed log A meets it: NumericError after a
+        # bounded number of calls
+        calls = counted_log_value(monkeypatch)
+        with pytest.raises(NumericError, match="inverse did not converge"):
+            solve()
+        assert len(calls) <= 130
 
     @pytest.mark.parametrize(
         "A",
@@ -330,14 +386,41 @@ class TestRoot:
         assert xs[1] == math.nextafter(start, 3.0)
 
     def test_exhausted_bracket_returns_the_better_end(self):
+        # lo and the midpoint, the next double, are evaluated; then no double
+        # lies strictly inside, and the end with the smaller |g| is returned
+        lo, mid = 1.0, math.nextafter(1.0, 2.0)
+        hi = math.nextafter(mid, 2.0)
+        for g_lo, better in [(-0.5, (lo, -0.5)), (-0.7, (mid, 0.6))]:
+            xs = []
+
+            def g(x):
+                xs.append(x)
+                return (g_lo if x <= lo else 0.6), None
+
+            assert _root(g, lo, hi, 1e-12, x=lo) == (*better, lo, mid, 2)
+            assert xs == [lo, mid]
+        # no end evaluated: the end returned is evaluated there, and counted
         g, xs = recorded_line(1.0)
-        lo, hi = 1.0, math.nextafter(1.0, 2.0)
-        assert _root(g, lo, hi, 1e-12, g_lo=-0.5, g_hi=0.6) == (lo, -0.5, lo, hi, 0)
-        assert _root(g, lo, hi, 1e-12, g_lo=-0.7, g_hi=0.6) == (hi, 0.6, lo, hi, 0)
-        assert xs == []
-        # no known end: the end returned is evaluated there, and counted
         assert _root(g, 2.0, 2.0, 1e-12) == (2.0, 1.0, 2.0, 2.0, 1)
         assert xs == [2.0]
+
+    @pytest.mark.parametrize("step", [1e-17, 4 * sys.float_info.epsilon], ids=["rounds", "few-ulps"])
+    def test_steps_that_never_converge_end_in_bisection(self, step):
+        # a g whose |g| never meets tol and whose step moves the point by one
+        # double (below half an ULP) or by a few: after 64 evaluations only
+        # midpoints are taken, and the whole double range collapses to two
+        # adjacent doubles within 130 evaluations
+        xs = []
+
+        def g(x):
+            xs.append(x)
+            if len(xs) > 10**4:
+                raise RuntimeError("the loop did not end")
+            return (-1.0 if x < math.pi else 1.0), step
+
+        x, g_x, lo, hi, evaluations = _root(g, math.ulp(0.0), sys.float_info.max, 0.0, x=1.0)
+        assert evaluations == len(xs) <= 130
+        assert lo < math.pi <= hi == math.nextafter(lo, math.inf) and x in (lo, hi)
 
 
 @settings(max_examples=50, deadline=None)
