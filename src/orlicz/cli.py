@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, OrliczError
 from .limits import (
     classical_p_sweep,
     convergence_rows,
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # InputError and DomainError included
+    except OrliczError as exc:  # InputError and DomainError; any other exception is a bug
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -19,17 +19,17 @@ yet taken, in parallel since numpy's ufuncs release the GIL.  Results come
 back in block order and sums are added in it, so the thread count changes
 no result.
 
-The set-up forms no whole-array |f|: a first pass takes each block's
-maximum and minimum, then the top atom in the first block attaining
-M = max |f|; a second, after the pruning cut, visits only the blocks whose
-maximum is above it, gathering the kept atoms in block order, and masks
-none whose minimum is above it too.  At large q
-only the atoms near ess sup |f| are kept: the pointwise domination behind
-the paper's upper bound.
+The set-up's first pass takes each block's maximum and minimum, then the
+top atom in the first block attaining M = max |f|; a second, after the
+pruning cut, visits only the blocks whose maximum is above it, gathering
+the kept atoms in block order, and masks none whose minimum is above it
+too.  At large q only the atoms near ess sup |f| are kept: the pointwise
+domination behind the paper's upper bound.
 
-One kernel evaluates the modular for modular(), p_norm() and the solver.  It
-builds c_i = log w_i + p*(log|f_i| - log M) once per call, and an
-evaluation at lam sums
+One kernel evaluates the modular for modular(), p_norm() and the solver,
+on atoms >= 0: each caller passes |f_i|, an N-sized copy only where some
+f_i < 0 and, in the solver, nothing is pruned.  It builds c_i = log w_i +
+p*(log|f_i| - log M) once per call, and an evaluation at lam sums
 
     exp(c_i + p*(log M - log lam) + q*log(log(shift + |f_i|/lam)))
 
@@ -49,9 +49,8 @@ kept atoms that step comes instead from the modular and its slope at lo on
 a strided sample of about 2^11 of them (_seed), and the loop starts there
 if it lies inside the bracket: one full evaluation fewer, 3 instead of 4
 on 1e5 and 1e6 lognormal atoms at q = 1.  Smaller inputs bisect: the
-benchmark keeps a record per q-ladder call (2-32 atoms), 0.65 KB each
-(68.5 MB over 46615 calls), so a speed-up past about 1.35x reads as a
-peak_rss_mb regression (bound 0.15), and on small inputs the gaps
+benchmark keeps a record per q-ladder call (2-32 atoms), so a speed-up
+there reads as a peak_rss_mb regression, and on small inputs the gaps
 |norm - M| that limit_sweep compares at large q are where bisection stops.
 """
 
@@ -149,15 +148,12 @@ def _ess_sup(f: np.ndarray) -> tuple[int, float, list, list]:
 
 
 @contextmanager
-def _modular_kernel(
-    A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, signed: bool, slope=False
-):
-    """Yield lam -> (S, D) over fixed atoms a_i, w_i > 0 with max |a_i| = big:
-    S = sum_i w_i A(|a_i| / lam), evaluated as the module docstring describes,
+def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, slope=False):
+    """Yield lam -> (S, D) over fixed atoms a_i >= 0, w_i > 0 with max a_i = big:
+    S = sum_i w_i A(a_i / lam), evaluated as the module docstring describes,
     and with slope D = sum_i term_i * (p + q r_i), each term times its
     d log A / d log t, from the same block buffers, else None.  S is the same
-    bit for bit either way.  signed must hold if some a_i < 0; on atoms >= 0
-    neither the set-up nor an evaluation takes an absolute value."""
+    bit for bit either way.  Callers pass |f|: the kernel takes no absolute value."""
     p, q = A.p, A.q
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
@@ -174,10 +170,10 @@ def _modular_kernel(
                 for b, t in zip(blocks, ts)]
 
     def set_up(view):
-        """c_i = log w_i + p*(log|a_i| - log M) over the block."""
+        """c_i = log w_i + p*(log a_i - log M) over the block."""
         w_blk, a_blk, c_blk, t, _ = view
         np.log(w_blk, out=c_blk)
-        np.log(np.abs(a_blk, out=t) if signed else a_blk, out=t)
+        np.log(a_blk, out=t)
         t -= log_big
         t *= p
         c_blk += t
@@ -192,16 +188,14 @@ def _modular_kernel(
         else:
             # with slope the term goes to the second buffer and t ends as
             # r = t / ((shift + t) L), L = log(shift + t)
-            if big / lam == math.inf:  # log(shift + |a_i|/lam) from logs
-                np.log(np.abs(a_blk, out=t) if signed else a_blk, out=t)
+            if big / lam == math.inf:  # log(shift + a_i/lam) from logs
+                np.log(a_blk, out=t)
                 t -= math.log(lam)
                 np.logaddexp(t, log_shift, out=term)
                 if slope:
                     np.exp(np.subtract(t, term, out=t), out=t)
             else:
                 np.divide(a_blk, lam, out=t)
-                if signed:
-                    np.abs(t, out=t)
                 np.add(t, A.shift, out=term)
                 if slope:
                     t /= term
@@ -278,7 +272,8 @@ def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: floa
     if not lam > 0.0:
         raise DomainError(f"modular requires lam > 0, got {lam}")
     _, big, _, minima = _ess_sup(f.values)
-    with _modular_kernel(A, f.values, mu.weights, big, min(minima) < 0.0) as modular_at:
+    a = np.abs(f.values) if min(minima) < 0.0 else f.values
+    with _modular_kernel(A, a, mu.weights, big) as modular_at:
         return modular_at(lam)[0]
 
 
@@ -322,15 +317,17 @@ def luxemburg_norm(
     A normal cut lies below lam_lo * A^{-1}(1/w) <= M, as tol / (4s) < 1/w
     (w <= s, and a tol outside (0, 1) raises DomainError) and A^{-1}
     increases, so the atom attaining M survives and the bracket holds for
-    the kept atoms too; a lam_lo that underflows to 0 raises NumericError.
+    the kept atoms too; a lam_lo that is not a positive finite double (0 on
+    underflow, nan where M / A^{-1}(1/w) overflows) raises NumericError.
     The root loop (module docstring) drives the kept modular to within
     tol - pruned_bound of 1, so the full modular meets |modular(lam) - 1| <=
     tol, unless the bracket collapses to adjacent doubles first.  A bracket
     no wider than tol * lam then comes back FINITE with its residual, which
-    exceeds tol where the evaluation noise (about q * 1e-16) does.
-    Otherwise NumericError comes only from the inverses or from a residual
-    above tol with a bracket still wider than tol * lam, which takes a tol
-    near one ULP.  A residual within tol, bisected or not, narrows the
+    exceeds tol where the evaluation noise (about q * 1e-16) does, unless it
+    is the largest double with the modular there above 1 + tol: the norm
+    exceeds the double range, and NumericError says so.  Otherwise
+    NumericError comes only from the inverses or from a residual above tol
+    with a bracket still wider than tol * lam, which takes a tol near one ULP.  A residual within tol, bisected or not, narrows the
     bracket to lam exp(+-((|log S| + eps)/p + 2^-50)), eps from _log_sum_error,
     as F = log S has F' >= p in u.  iterations counts the evaluations of the
     kept modular, each over every kept atom; the inverses behind the bracket
@@ -345,14 +342,15 @@ def luxemburg_norm(
 
     mass = mu.total_mass
     lo, hi = _closed_form_bracket(A, big, float(mu.weights[top]), mass, len(f))
-    if lo == 0.0:
-        raise NumericError(f"luxemburg_norm: bracket [{lo!r}, {hi!r}] underflows at its lower end")
+    if not 0.0 < lo < math.inf:  # nan where big / t overflows and its margin underflows exp
+        raise NumericError(f"luxemburg_norm: bracket [{lo!r}, {hi!r}] underflows, or leaves "
+                           "the double range, at its lower end")
     y = 0.25 * tol / mass
     cut = lo * _solve_log(A, math.log(y), 0.5e-3)[0] if y > 0.0 else 0.0
     if cut < sys.float_info.min:  # a subnormal cut has too few bits to bound what it drops
         cut = 0.0
     values, weights, kept_mass = f.values, mu.weights, mass  # the kernel's if nothing is dropped
-    signed, pruned_mass, pruned_bound = min(minima) < 0.0, 0.0, 0.0
+    pruned_mass = pruned_bound = 0.0
     kept = []  # per block above the cut: (block, indices of its atoms |f_i| > cut, None for all)
     for blk, block_max, block_min in zip(_blocks(len(f)), maxima, minima):
         if block_min > cut:  # f_i >= block_min > cut >= 0 for all: no mask
@@ -364,7 +362,7 @@ def luxemburg_norm(
     if len(kept) < len(maxima) or any(k is not None for _, k in kept):  # something dropped
         index = [np.arange(blk.start, blk.stop) if k is None else k for blk, k in kept]
         index = index[0] if len(index) == 1 else np.concatenate(index)
-        values, weights, signed = np.abs(f.values[index]), mu.weights[index], False
+        values, weights = f.values[index], mu.weights[index]
         kept_mass = float(weights.sum())
         if kept_mass <= 0.5 * mass:  # at least mass/2 is dropped: no cancellation
             pruned_mass = mass - kept_mass
@@ -376,18 +374,22 @@ def luxemburg_norm(
             rounded_up = pruned_mass * (1.0 + len(f) * 2.0**-51)  # times 1 + 4 N u
             pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
+    if min(minima) < 0.0:  # the kernel takes |f|
+        values = np.abs(values)
 
     start = lo if len(f) >= _NEWTON_MIN_ATOMS else None
     if len(values) >= _SEED_MIN_ATOMS:
         x = _seed(A, values, weights, big, float(mu.weights[top]), kept_mass, lo)
         start = x if lo < x < hi else lo
-    with _modular_kernel(A, values, weights, big, signed, start is not None) as modular_at:
+    with _modular_kernel(A, values, weights, big, start is not None) as modular_at:
         def g(lam):  # (1 - S at lam, the Newton step in log lam or, to bisect, None)
             s, d = modular_at(lam)
             return 1.0 - s, None if d is None else _newton_step(s, d)
 
         lam, h, lo, hi, evaluations = _root(g, lo, hi, tol - pruned_bound, x=start)
     residual = abs(h) + pruned_bound
+    if lam == sys.float_info.max and h < -tol:  # S > 1 + tol at the cap: the root lies past it
+        raise NumericError(f"luxemburg_norm: the norm exceeds the double range: modular {1.0 - h!r}")
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(
             f"luxemburg_norm stalled: bracket [{lo!r}, {hi!r}], "
@@ -432,10 +434,10 @@ def _seed(A, values, weights, big, w_top, kept_mass, lo):
     atoms, scaled to the kept mass less the top atom's weight, whose largest
     gives way to the top atom at its own weight.  Its kernel is freed on return."""
     k = len(values) // _SEED_SAMPLE
-    a, w = np.abs(values[::k]), weights[::k] * ((kept_mass - w_top) / float(weights[::k].sum()))
+    a, w = values[::k].copy(), weights[::k] * ((kept_mass - w_top) / float(weights[::k].sum()))
     j = int(np.argmax(a))
     a[j], w[j] = big, w_top
-    with _modular_kernel(A, a, w, big, False, slope=True) as sample_at:
+    with _modular_kernel(A, a, w, big, slope=True) as sample_at:
         return _log_step(lo, _newton_step(*sample_at(lo)))
 
 
@@ -454,13 +456,14 @@ def char_norm_closed_form(A: YoungFunction, m: float) -> float:
 
 
 def p_norm(f: SampledFunction, mu: DiscreteMeasure, p: float) -> float:
-    """Weighted p-norm (sum_i w_i |f_i|^p)^(1/p): M times the p-th root of the
-    kernel's q = 0 modular of f / M at 1, M = ess sup |f|.  Each term is exp(c_i),
+    """Weighted p-norm (sum_i w_i |f_i|^p)^(1/p): M times the p-th root of one
+    kernel's q = 0 modular of |f| / M at 1, M = ess sup |f|.  Each term is exp(c_i),
     c_i <= log w_i with equality at the top atom, so for every p the power sum lies
     between its weight and the total mass, up to the rounding of exp(log w_i).  On
-    f / M the kernel's logs err by about u, not u |log M|.  p must be as for
+    |f| / M the kernel's logs err by about u, not u |log M|.  p must be as for
     YoungFunction.power: finite and >= 1."""
     A, big = YoungFunction.power(p), ess_sup(f, mu)
     if big == 0.0:
         return 0.0
-    return big * modular(A, SampledFunction(f.values / big), mu, 1.0) ** (1.0 / p)
+    with _modular_kernel(A, np.abs(f.values) / big, mu.weights, 1.0) as modular_at:
+        return big * modular_at(1.0)[0] ** (1.0 / p)

@@ -309,6 +309,26 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_norm_past_largest_double_is_numeric_error(self, tmp_path, capsys):
+        data = tmp_path / "past.csv"
+        data.write_text("x,weight,value\n0,2,1.7976931348623157e308\n1,1,1\n")
+        assert run_cli("norm", "--input", str(data), "--p", "1", "--q", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: luxemburg_norm: the norm exceeds the double range")
+
+    def test_bug_is_not_an_input_error(self, monkeypatch):
+        # only the package's errors map to exit codes: a bare ValueError is a
+        # bug, and surfaces with its traceback
+        import orlicz.cli
+
+        def bug(*args, **kwargs):
+            raise ValueError("need at least one array to concatenate")
+
+        monkeypatch.setattr(orlicz.cli, "luxemburg_norm", bug)
+        with pytest.raises(ValueError, match="concatenate"):
+            run_cli("norm", "--preset", "indicator:1", "--p", "1", "--q", "1")
+
 
 # Each subcommand's full option set and defaults, given its required options.
 # Written out by hand, not read from the parser, so a dropped or added

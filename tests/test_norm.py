@@ -117,9 +117,9 @@ def modular_oracle(A, values, weights, lam):
 
 @contextmanager
 def kernel_on(A, a, w, slope=False):
-    """The modular kernel over atoms a, w."""
-    big, signed = float(np.abs(a).max()), bool(a.min() < 0.0)
-    with norm_module._modular_kernel(A, a, w, big, signed, slope) as kernel:
+    """The modular kernel over atoms |a|, w."""
+    a = np.abs(a)
+    with norm_module._modular_kernel(A, a, w, float(a.max()), slope) as kernel:
         yield kernel
 
 
@@ -359,9 +359,9 @@ def kept_atoms(monkeypatch, A, f, mu):
     kernel, greater = norm_module._modular_kernel, np.greater
 
     @contextmanager
-    def recording_kernel(A, a, w, big, signed, slope=False):
+    def recording_kernel(A, a, w, big, slope=False):
         kernels.append((a.copy(), w.copy()))
-        with kernel(A, a, w, big, signed, slope) as modular_at:
+        with kernel(A, a, w, big, slope) as modular_at:
             yield modular_at
 
     def recording_greater(*args, **kwargs):
@@ -671,6 +671,24 @@ class TestLuxemburgNorm:
         with pytest.raises(NumericError, match=r"bracket \[0\.0, .*\] underflows"):
             luxemburg_norm(YoungFunction.log_bump(p, q), f, mu)
 
+    def test_nan_lower_end_raises(self):
+        # big / A^{-1}(1/w) overflows, and its margin of about 1e85 underflows
+        # exp: the lower end is inf * 0 = nan, not a positive finite double
+        mu, f = atoms(
+            [8.398933194753675e-301, 2.472773251102138e117, 12.154619078757218],
+            [8.564272808475038e-301, 1.7e308, 9.986175856376279e-301],
+        )
+        with pytest.raises(NumericError, match=r"bracket \[nan, .*\] underflows, or leaves"):
+            luxemburg_norm(YoungFunction(1.5, 1e100, math.e), f, mu)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1e5])
+    def test_norm_past_largest_double_raises(self, q):
+        # the modular is 2 at the capped end DBL_MAX: the root lies past it,
+        # where no double can report it (largest_double in EDGE_CASES is at it)
+        mu, f = atoms([sys.float_info.max, 1.0], [2.0, 1.0])
+        with pytest.raises(NumericError, match="norm exceeds the double range: modular 2.0"):
+            luxemburg_norm(YoungFunction.log_bump(1.0, q), f, mu)
+
     def test_homogeneity(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -735,10 +753,10 @@ def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
     kernel = norm_module._modular_kernel
 
     @contextmanager
-    def recording_kernel(A, a, w, big, signed, slope=False):
+    def recording_kernel(A, a, w, big, slope=False):
         lams = []
         kernels.append((np.size(a), slope, lams))
-        with kernel(A, a, w, big, signed, slope) as modular_at:
+        with kernel(A, a, w, big, slope) as modular_at:
 
             def recorded(lam):
                 lams.append(lam)
@@ -1179,8 +1197,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def flat_kernel(A, a, w, big, signed, slope=False):
-            with kernel(A, a, w, big, signed, slope) as modular_at:
+        def flat_kernel(A, a, w, big, slope=False):
+            with kernel(A, a, w, big, slope) as modular_at:
 
                 def flat(lam):
                     m, d = modular_at(lam)
@@ -1203,8 +1221,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def overflowing_kernel(A, a, w, big, signed, slope=False):
-            with kernel(A, a, w, big, signed, slope) as modular_at:
+        def overflowing_kernel(A, a, w, big, slope=False):
+            with kernel(A, a, w, big, slope) as modular_at:
                 calls = []
 
                 def overflowing(lam):
@@ -1283,6 +1301,75 @@ class TestSampledSeed:
                 plain, [_] = traced_norm(monkeypatch, A, f, mu)
             assert res.iterations <= plain.iterations
             assert abs(res.value / plain.value - 1.0) <= 2.0 * PRUNE_TOL / p
+
+
+def kernel_builds(monkeypatch, call):
+    """call(), and (min a, max a, big, len a) of every modular kernel it builds."""
+    builds, kernel = [], norm_module._modular_kernel
+
+    @contextmanager
+    def recording_kernel(A, a, w, big, slope=False):
+        builds.append((float(a.min()), float(a.max()), big, len(a)))
+        with kernel(A, a, w, big, slope) as modular_at:
+            yield modular_at
+
+    with monkeypatch.context() as mp:
+        mp.setattr(norm_module, "_modular_kernel", recording_kernel)
+        return call(), builds
+
+
+def signed_instance(n, zeros, seed=13):
+    """n lognormal atoms, about 40% of them negative and, with zeros, every
+    ninth set to 0.0 and every eleventh to -0.0."""
+    rng = np.random.default_rng(seed)
+    values = rng.lognormal(0.0, 1.0, n) * np.where(rng.random(n) < 0.4, -1.0, 1.0)
+    if zeros:
+        values[::9], values[::11] = 0.0, -0.0
+    return atoms(values, rng.uniform(0.1, 1.0, n) / n)
+
+
+class TestKernelContract:
+    """Every kernel is built on atoms a_i >= 0 with max a_i = big: each caller
+    passes |f|, and the kernel takes no absolute value of its own."""
+
+    @staticmethod
+    def check(builds):
+        assert builds
+        for low, top, big, _ in builds:
+            assert low >= 0.0 and top == big, (low, top, big)
+
+    @pytest.mark.parametrize(
+        "n,zeros,q",
+        [
+            (50, True, 1.0),  # bisected, the zeros pruned
+            (10_000, True, 1e5),  # Newton, pruned at the cut
+            (10_000, False, 1.0),  # Newton, nothing pruned
+            (2**17, True, 1.0),  # seeded, the zeros pruned
+            (2**17, False, 1.0),  # seeded, nothing pruned
+        ],
+    )
+    def test_luxemburg_norm(self, monkeypatch, n, zeros, q):
+        mu, f = signed_instance(n, zeros)
+        res, builds = kernel_builds(
+            monkeypatch, lambda: luxemburg_norm(YoungFunction.log_bump(2.0, q), f, mu)
+        )
+        self.check(builds)
+        assert (res.pruned_mass > 0.0) == (zeros or q > 1.0)
+        seeded = builds[-1][3] >= norm_module._SEED_MIN_ATOMS
+        assert len(builds) == 1 + seeded and seeded == (n == 2**17)
+
+    @pytest.mark.parametrize("lam", [1e-300, 0.5])  # max |f| / lam overflows, and not
+    def test_modular(self, monkeypatch, lam):
+        mu, f = signed_instance(1000, zeros=True)
+        _, builds = kernel_builds(monkeypatch, lambda: modular(B11, f, mu, lam))
+        self.check(builds)
+        assert len(builds) == 1
+
+    def test_p_norm(self, monkeypatch):
+        mu, f = signed_instance(1000, zeros=True)
+        _, builds = kernel_builds(monkeypatch, lambda: p_norm(f, mu, 2.0))
+        self.check(builds)
+        assert builds == [(0.0, 1.0, 1.0, 1000)]
 
 
 class TestCharNormClosedForm:
