@@ -156,7 +156,10 @@ def _emit(rows: list[dict], columns: list[str], args: argparse.Namespace) -> Non
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
 
 
 def _run_norm(args: argparse.Namespace) -> tuple[list[dict], list[str]]:

@@ -38,6 +38,14 @@ whole in the log domain, so it is inf only when that itself overflows, and
 0 when it underflows; f_i = 0 gives 0.  Where max|f|/lam overflows,
 log(shift + |f_i|/lam) is taken as logaddexp(log|f_i| - log lam, log shift).
 
+At q = 1, the Zygmund t^p log(shift + t), the solver's kernel stores instead
+b_i = exp(c_i + p*(log M - log lo)) = w_i (|f_i|/lo)^p, lo the bracket's lower
+end, and sums (lo/lam)^p * sum_i b_i L_i, L_i = log(shift + |f_i|/lam): one log
+per atom and no exp.  It takes this base form where mass (M/lo)^p >= sum_i b_i
+is below e^700, so that no sum of b_i L_i <= 710 b_i overflows; the factor is
+normal, as p log(hi/lo) = log(mass (M/lo)^p) + log L(M/hi) <= 706.6 (A(M/lo) =
+1/w_top, A(M/hi) = 1/mass).  A b_i that underflows errs by under 3e-324.
+
 On an input of at least _NEWTON_MIN_ATOMS atoms, however few are kept,
 each evaluation returns the Newton step in log lam (_newton_step), which
 young._root turns into a point.  By the delta substitution the slope
@@ -148,17 +156,21 @@ def _ess_sup(f: np.ndarray) -> tuple[int, float, list, list]:
 
 
 @contextmanager
-def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, slope=False):
+def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, slope=False,
+                    ref=None):
     """Yield lam -> (S, D) over fixed atoms a_i >= 0, w_i > 0 with max a_i = big:
     S = sum_i w_i A(a_i / lam), evaluated as the module docstring describes,
     and with slope D = sum_i term_i * (p + q r_i), each term times its
     d log A / d log t, from the same block buffers, else None.  S is the same
-    bit for bit either way.  Callers pass |f|: the kernel takes no absolute value."""
+    bit for bit either way.  Callers pass |f|: the kernel takes no absolute value.
+    ref, given only at q = 1, is the least lam to be evaluated: the kernel then
+    takes the base form (module docstring), whose range the caller checks."""
     p, q = A.p, A.q
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
     two_buffers = slope and q > 0.0  # the slope sum keeps r_i apart from the term
     c, blocks = np.empty(len(a)), _blocks(len(a))
+    base = ref is not None  # b_i in place of c_i
 
     def thread_views():
         """Every block as (w_blk, a_blk, c_blk, t, term), t and term in one
@@ -170,25 +182,28 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, 
                 for b, t in zip(blocks, ts)]
 
     def set_up(view):
-        """c_i = log w_i + p*(log a_i - log M) over the block."""
+        """c_i = log w_i + p*(log a_i - log M) over the block, or b_i in base form."""
         w_blk, a_blk, c_blk, t, _ = view
         np.log(w_blk, out=c_blk)
         np.log(a_blk, out=t)
         t -= log_big
         t *= p
         c_blk += t
+        if base:
+            np.exp(np.add(c_blk, p * (log_big - math.log(ref)), out=c_blk), out=c_blk)
 
     offset = lam = 0.0  # the point of the evaluation under way, set by modular_at
 
     def block_sums(view):
-        """(sum of the block's terms, sum of its terms times r_i) at lam."""
+        """(sum of the block's terms, sum of its terms times r_i) at lam, in
+        base form each without the common factor (ref/lam)^p."""
         _, a_blk, c_blk, t, term = view
         if q == 0.0:
             term = np.add(c_blk, offset, out=t)
         else:
             # with slope the term goes to the second buffer and t ends as
-            # r = t / ((shift + t) L), L = log(shift + t)
-            if big / lam == math.inf:  # log(shift + a_i/lam) from logs
+            # t / (shift + t), then r = t / ((shift + t) L), L = log(shift + t)
+            if big / lam == math.inf:  # L = log(shift + a_i/lam) from logs
                 np.log(a_blk, out=t)
                 t -= math.log(lam)
                 np.logaddexp(t, log_shift, out=term)
@@ -200,6 +215,9 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, 
                 if slope:
                     t /= term
                 np.log(term, out=term)
+            if base:  # b_i L_i, and b_i L_i r_i = b_i t / (shift + t)
+                total = float(np.add.reduce(np.multiply(term, c_blk, out=term)))
+                return total, float(np.add.reduce(np.multiply(t, c_blk, out=t))) if slope else 0.0
             if slope:
                 t /= term  # r, while L is still in a buffer
             np.log(term, out=term)
@@ -250,6 +268,9 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, 
         for s, d in each_block(block_sums):  # in block order
             total += s
             weighted += d
+        if base:  # times (ref/lam)^p, normal in the caller's bracket
+            scale = math.exp(p * (math.log(ref) - math.log(at)))
+            total, weighted = total * scale, weighted * scale
         return total, p * total + q * weighted if slope else None
 
     try:
@@ -381,7 +402,9 @@ def luxemburg_norm(
     if len(values) >= _SEED_MIN_ATOMS:
         x = _seed(A, values, weights, big, float(mu.weights[top]), kept_mass, lo)
         start = x if lo < x < hi else lo
-    with _modular_kernel(A, values, weights, big, start is not None) as modular_at:
+    # the kernel's base form at q = 1, where mass (M/lo)^p >= sum_i b_i is in range (module doc)
+    ref = lo if A.q == 1.0 and math.log(mass) + A.p * math.log(big / lo) <= 700.0 else None
+    with _modular_kernel(A, values, weights, big, start is not None, ref) as modular_at:
         def g(lam):  # (1 - S at lam, the Newton step in log lam or, to bisect, None)
             s, d = modular_at(lam)
             return 1.0 - s, None if d is None else _newton_step(s, d)
@@ -421,11 +444,14 @@ def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int) -> float:
     """eps >= the kernel's rounding error in log S at lam over n kept atoms,
     derived as _closed_form_bracket's: 2 (n - 1) u for the sum, and for a
     term 2^-50 (|log w_i| + p (|log a_i| + 2 |log M| + |log lam|) + q (|log L_i|
-    + 1 + 1/L_i)), with |log| <= 745 for a double and log shift <= L_i <= L(M)."""
+    + 1 + 1/L_i)), with |log| <= 745 for a double and log shift <= L_i <= L(M).
+    The base form's b_i L_i (q = 1) drops q |log L_i|, but b_i's exponent and the
+    factor (lo/lam)^p each add p |log lo| <= 745 p: the bound holds for both forms."""
     noise = 745.0 + A.p * (745.0 + 2.0 * abs(math.log(big)) + abs(math.log(lam)))
     if A.q > 0.0:  # L(M) is inf where M/lam overflows, and so is eps
         low, top = math.log(A.shift), math.log(A.shift + big / lam)
         noise += A.q * (max(abs(math.log(low)), abs(math.log(top))) + 1.0 + 1.0 / low)
+        noise += 1490.0 * A.p if A.q == 1.0 else 0.0
     return (n - 1) * 2.0**-52 + 2.0**-50 * noise
 
 

@@ -291,6 +291,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error: tol must be positive" in captured.err
 
+    def test_unwritable_output_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli("norm", "--preset", "indicator:1", "--output", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}")
+
     def test_missing_source_is_validation_error(self, capsys):
         assert run_cli("norm", "--p", "1", "--q", "1") == 1
 

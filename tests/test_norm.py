@@ -17,6 +17,7 @@ from orlicz import (
     DomainError,
     NormStatus,
     NumericError,
+    OrliczError,
     SampledFunction,
     YoungFunction,
     char_norm_closed_form,
@@ -359,9 +360,9 @@ def kept_atoms(monkeypatch, A, f, mu):
     kernel, greater = norm_module._modular_kernel, np.greater
 
     @contextmanager
-    def recording_kernel(A, a, w, big, slope=False):
+    def recording_kernel(A, a, w, big, *args, **kwargs):
         kernels.append((a.copy(), w.copy()))
-        with kernel(A, a, w, big, slope) as modular_at:
+        with kernel(A, a, w, big, *args, **kwargs) as modular_at:
             yield modular_at
 
     def recording_greater(*args, **kwargs):
@@ -753,10 +754,10 @@ def traced_norm(monkeypatch, A, f, mu, tol=PRUNE_TOL):
     kernel = norm_module._modular_kernel
 
     @contextmanager
-    def recording_kernel(A, a, w, big, slope=False):
+    def recording_kernel(A, a, w, big, slope=False, *args, **kwargs):
         lams = []
         kernels.append((np.size(a), slope, lams))
-        with kernel(A, a, w, big, slope) as modular_at:
+        with kernel(A, a, w, big, slope, *args, **kwargs) as modular_at:
 
             def recorded(lam):
                 lams.append(lam)
@@ -1197,8 +1198,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def flat_kernel(A, a, w, big, slope=False):
-            with kernel(A, a, w, big, slope) as modular_at:
+        def flat_kernel(A, a, w, big, *args, **kwargs):
+            with kernel(A, a, w, big, *args, **kwargs) as modular_at:
 
                 def flat(lam):
                     m, d = modular_at(lam)
@@ -1221,8 +1222,8 @@ class TestCoarseStart:
         kernel = norm_module._modular_kernel
 
         @contextmanager
-        def overflowing_kernel(A, a, w, big, slope=False):
-            with kernel(A, a, w, big, slope) as modular_at:
+        def overflowing_kernel(A, a, w, big, *args, **kwargs):
+            with kernel(A, a, w, big, *args, **kwargs) as modular_at:
                 calls = []
 
                 def overflowing(lam):
@@ -1308,9 +1309,9 @@ def kernel_builds(monkeypatch, call):
     builds, kernel = [], norm_module._modular_kernel
 
     @contextmanager
-    def recording_kernel(A, a, w, big, slope=False):
+    def recording_kernel(A, a, w, big, *args, **kwargs):
         builds.append((float(a.min()), float(a.max()), big, len(a)))
-        with kernel(A, a, w, big, slope) as modular_at:
+        with kernel(A, a, w, big, *args, **kwargs) as modular_at:
             yield modular_at
 
     with monkeypatch.context() as mp:
@@ -1370,6 +1371,137 @@ class TestKernelContract:
         _, builds = kernel_builds(monkeypatch, lambda: p_norm(f, mu, 2.0))
         self.check(builds)
         assert builds == [(0.0, 1.0, 1.0, 1000)]
+
+
+# the nine q = 1 inputs of test_contract's grid where some b_i = w_i (|f_i|/lo)^p
+# exceeds e^700, as (values, weights, p, shift)
+WIDE_BASE_INPUTS = [
+    ([5e-324, -5e-324, -1.4269073158487436e-162, 1e-310, 0.0],
+     [1.7e308, 5e-324, 5e-324, 1e-310, 5853759575653375.0], 2.0, E0),
+    ([1.7e308], [1.7e308], 1.0, 100.0),
+    ([1.7e308, 1.7e308], [1.7e308, 1e-310], 1.5, 1.5),
+    ([1.7e308, 1e-310], [1.7e308, 5e-324], 1.5, math.e),
+    ([-0.0, -2.66658697892024e-301, 1.7e308, 1.7e308, 1.7e308],
+     [1e-310, 5.378579223255014e-301, 1.7e308, 1e-310, 3.130461338450749e-114], 1.0, 1.5),
+    ([-3.389200155018286e-301, 1.7e308, -0.0, 1e-310], [5e-324, 1.7e308, 5e-324, 5e-324],
+     1.5, math.e),
+    ([1.7e308, 5.989338695689426e-262, 2.3536985287797186e60, 5.891338389445255e269],
+     [1.7e308, 5e-324, 1e-310, 1e-310], 2.0, math.e),
+    ([3.997593799654008e-301, 1.7e308, 1e-310], [2.0809474594477534e-08, 1.7e308, 5e-324],
+     1.0, 100.0),
+    ([-1.7e308, 1e-310, 8.815740457673906e70, 1.7e308],
+     [2.32784142252375e-301, 1e-310, 9.062837311881994e179, 1.7e308], 1.0, E0),
+]
+
+
+def solve_in_form(monkeypatch, A, f, mu, base):
+    """luxemburg_norm with the kernel's base form as chosen (base) or taken
+    away: (the result or the class of its OrliczError, ref of each kernel built)."""
+    refs, kernel = [], norm_module._modular_kernel
+
+    @contextmanager
+    def forced_kernel(A, a, w, big, slope=False, ref=None):
+        refs.append(ref)
+        with kernel(A, a, w, big, slope, ref if base else None) as modular_at:
+            yield modular_at
+
+    with monkeypatch.context() as mp:
+        mp.setattr(norm_module, "_modular_kernel", forced_kernel)
+        try:
+            return luxemburg_norm(A, f, mu), refs
+        except OrliczError as exc:
+            return type(exc), refs
+
+
+class TestBaseForm:
+    """At q = 1 the solver's kernel sums b_i L_i, b_i = w_i (a_i/lo)^p, where
+    mass (M/lo)^p <= e^700, and today's log-domain form elsewhere."""
+
+    @staticmethod
+    def cases():
+        """(values, weights, p, shift): EDGE_CASES, test_subnormal_values'
+        grid, WIDE_BASE_INPUTS and 2^17 lognormal atoms."""
+        for values, weights in EDGE_CASES.values():
+            yield from ((values, weights, p, E0) for p in (1.0, 2.0))
+        grid = [5e-324, 1e-323, 1.5e-323, 2e-323, 1e-320, 2.2e-308]
+        for a, b in itertools.product(grid, grid):
+            for w in [[1.0, 1.0], [0.3, 0.5], [1.0, 1e-3], [1e-3, 1.0]]:
+                yield [a, b], w, 1.0, E0
+        yield from WIDE_BASE_INPUTS
+        rng = np.random.default_rng(17)
+        values, weights = rng.lognormal(0.0, 1.0, 2**17), rng.uniform(0.1, 1.0, 2**17) / 2**17
+        yield from ((values, weights, p, E0) for p in (1.0, 2.0))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_same_results_as_log_form(self, monkeypatch, cpus):
+        # each input solved with the base form where it is chosen, then with the
+        # log-domain form forced: the same status or error, and values within
+        # tol / p; where the base form is not chosen, the same bits
+        monkeypatch.setattr(norm_module, "_cpus", lambda: cpus)
+        forms = []
+        for values, weights, p, shift in self.cases():
+            mu, f = atoms(values, weights)
+            A = YoungFunction(p, 1.0, shift)
+            res, refs = solve_in_form(monkeypatch, A, f, mu, base=True)
+            log_res, _ = solve_in_form(monkeypatch, A, f, mu, base=False)
+            if isinstance(res, type) or isinstance(log_res, type) or not refs:
+                assert res == log_res, (values, weights, p, shift)
+                continue
+            forms.append(refs[-1] is not None)
+            if not forms[-1]:
+                assert hexed(res) == hexed(log_res), (values, weights, p, shift)
+            assert res.status == log_res.status
+            assert abs(res.value - log_res.value) <= norm_module.DEFAULT_TOL / p * log_res.value
+        assert any(forms) and not all(forms)
+
+    @staticmethod
+    def log_s_mpmath(A, a, w, lam):
+        with mpmath.workdps(50):
+            t = [mpmath.mpf(float(x)) / lam for x in a]
+            return mpmath.log(mpmath.fsum(
+                mpmath.mpf(float(v)) * x**A.p * mpmath.log(A.shift + x) for v, x in zip(w, t)
+            ))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_log_sum_error_bounds_base_form(self, monkeypatch, p):
+        # values and weights at 1e-300, 1 and 1e300, and two inputs whose
+        # bracket spans about 700 / p in log lam: at lo, hi and points between,
+        # the base form's log S lies within _log_sum_error of 50 digits
+        A = YoungFunction.log_bump(p, 1.0)
+        rng = np.random.default_rng(int(p))
+        scales = [1e-300, 1.0, 1e300]
+        inputs = [([1.0, 1e-300], [4e-311, 1e-4]), ([1.0, 0.5], [4e-311, 1e-4])]
+        for vs, ws in itertools.product(itertools.product(scales, repeat=2), repeat=2):
+            inputs.append(((np.array(vs) * rng.uniform(0.5, 2.0, 2)).tolist(),
+                           (np.array(ws) * rng.uniform(0.5, 2.0, 2)).tolist()))
+        kernel, checked, widest = norm_module._modular_kernel, [], 0.0
+        for values, weights in inputs:
+            mu, f = atoms(values, weights)
+            big, top = max(values), int(np.argmax(values))
+            lo, hi = norm_module._closed_form_bracket(A, big, weights[top], mu.total_mass, 2)
+
+            @contextmanager
+            def checking_kernel(A, a, w, big, slope=False, ref=None):
+                with kernel(A, a, w, big, slope, ref) as modular_at:
+                    if ref is not None:
+                        assert ref == lo
+                        for lam in [lo, hi] + list(np.geomspace(lo, hi, 9)[1:-1]):
+                            s, exact = modular_at(float(lam))[0], self.log_s_mpmath(A, a, w, lam)
+                            if exact > -650.0:  # S stays normal, with every bit
+                                eps = norm_module._log_sum_error(A, big, float(lam), len(a))
+                                assert abs(math.log(s) - exact) <= eps, (values, weights, lam)
+                                checked.append(lam)
+                    yield modular_at
+
+            with monkeypatch.context() as mp:
+                mp.setattr(norm_module, "_modular_kernel", checking_kernel)
+                try:
+                    luxemburg_norm(A, f, mu)
+                except OrliczError:
+                    pass
+            if checked and checked[-1] == hi:
+                widest = max(widest, p * math.log(hi / lo))
+        assert len(checked) >= 100 and widest > 690.0
 
 
 class TestCharNormClosedForm:
