@@ -419,7 +419,8 @@ def luxemburg_norm(
             f"residual {residual:.3e} > tol {tol:g}"
         )
     if residual <= tol:  # F' >= p: the root is within (|log S| + eps)/p in u
-        m = (abs(math.log1p(-h)) + _log_sum_error(A, big, lam, len(values))) / A.p + 2.0**-50
+        eps = _log_sum_error(A, big, lam, len(values), ref is not None)
+        m = (abs(math.log1p(-h)) + eps) / A.p + 2.0**-50
         lo, hi = max(lo, _log_step(lam, -m)), min(hi, _log_step(lam, m))
     return NormResult(
         lam, lo, hi, residual, evaluations, NormStatus.FINITE, pruned_mass, pruned_bound
@@ -440,18 +441,18 @@ def _closed_form_bracket(A: YoungFunction, big: float, w_top: float, mass: float
     return tuple(ends)
 
 
-def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int) -> float:
+def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int, base=True) -> float:
     """eps >= the kernel's rounding error in log S at lam over n kept atoms,
     derived as _closed_form_bracket's: 2 (n - 1) u for the sum, and for a
     term 2^-50 (|log w_i| + p (|log a_i| + 2 |log M| + |log lam|) + q (|log L_i|
     + 1 + 1/L_i)), with |log| <= 745 for a double and log shift <= L_i <= L(M).
-    The base form's b_i L_i (q = 1) drops q |log L_i|, but b_i's exponent and the
-    factor (lo/lam)^p each add p |log lo| <= 745 p: the bound holds for both forms."""
+    base says a q = 1 solve took the base form: b_i's exponent and the factor
+    exp(p (log lo - log lam)) each add p |log lo| <= 745 p."""
     noise = 745.0 + A.p * (745.0 + 2.0 * abs(math.log(big)) + abs(math.log(lam)))
     if A.q > 0.0:  # L(M) is inf where M/lam overflows, and so is eps
         low, top = math.log(A.shift), math.log(A.shift + big / lam)
         noise += A.q * (max(abs(math.log(low)), abs(math.log(top))) + 1.0 + 1.0 / low)
-        noise += 1490.0 * A.p if A.q == 1.0 else 0.0
+        noise += 1490.0 * A.p if base and A.q == 1.0 else 0.0
     return (n - 1) * 2.0**-52 + 2.0**-50 * noise
 
 
