@@ -47,7 +47,7 @@ normal, as p log(hi/lo) = log(mass (M/lo)^p) + log L(M/hi) <= 706.6 (A(M/lo) =
 1/w_top, A(M/hi) = 1/mass).  A b_i that underflows errs by under 3e-324.
 
 On an input of at least _NEWTON_MIN_ATOMS atoms, however few are kept,
-each evaluation returns the Newton step in log lam (_newton_step), which
+each evaluation returns the Newton step in log lam, log S / F', which
 young._root turns into a point.  By the delta substitution the slope
 d log A / d log t = p + q t / ((shift + t) log(shift + t)) is closed form,
 so the kernel sums the modular's slope in the same pass, and the loop
@@ -55,11 +55,19 @@ starts at lo, where the modular is >= 1, so that evaluating it cannot
 move the bracket and only proposes the first step.  From _SEED_MIN_ATOMS
 kept atoms that step comes instead from the modular and its slope at lo on
 a strided sample of about 2^11 of them (_seed), and the loop starts there
-if it lies inside the bracket: one full evaluation fewer, 3 instead of 4
-on 1e5 and 1e6 lognormal atoms at q = 1.  Smaller inputs bisect: the
-benchmark keeps a record per q-ladder call (2-32 atoms), so a speed-up
-there reads as a peak_rss_mb regression, and on small inputs the gaps
-|norm - M| that limit_sweep compares at large q are where bisection stops.
+if it lies inside the bracket: one full evaluation fewer.  Smaller inputs
+bisect: the benchmark keeps a record per q-ladder call (2-32 atoms), so a
+speed-up there reads as a peak_rss_mb regression, and on small inputs the
+gaps |norm - M| that limit_sweep compares at large q are where bisection stops.
+
+The last Newton point is certified, not evaluated (Newton-Kantorovich).  In
+u = log(M/lam), F = log S has F'' = q^2 Var_pi(r) + q E_pi[t r'], pi_i =
+term_i/S, r = t/((shift + t) log(shift + t)); x log x >= x - 1 gives 0 <= r <
+1 for shift > 1, and t r' = r (shift/(shift + t) - r) lies in (-1, 1/4], so
+|F''| <= B2 = q (q/4 + 1).  At the Newton point |F| <= B2 step^2/2 + e, e the
+rounding of F, slope, step and point; the loop returns it unevaluated where it
+is inside the bracket, expm1 of that meets tol - pruned_bound, and the last
+evaluation's Taylor prediction of this one held: a wrong slope certifies nothing.
 """
 
 from __future__ import annotations
@@ -111,10 +119,11 @@ class NormResult:
     pruned_bound, the most the dropped atoms (total weight pruned_mass,
     atoms with f_i = 0 included) can add anywhere in the bracket;
     luxemburg_norm says how both are formed, and both are 0.0 when no atom
-    was dropped.  The exact |modular(value) - 1| can exceed it by the
-    kernel's evaluation error, about q * 1e-16.  The residual is meaningful
-    only for FINITE status, where it meets the requested tolerance whenever
-    that tolerance sits above that evaluation noise floor.
+    was dropped.  The exact |modular(value) - 1| can exceed it by the kernel's
+    evaluation error, about q * 1e-16, except at a Newton point accepted
+    unevaluated, where it is the bound expm1(B2 step^2/2 + e) + pruned_bound
+    (module docstring).  It is meaningful only for FINITE status, where it meets
+    the requested tolerance whenever that sits above that evaluation noise floor.
     """
 
     value: float
@@ -341,18 +350,21 @@ def luxemburg_norm(
     the kept atoms too; a lam_lo that is not a positive finite double (0 on
     underflow, nan where M / A^{-1}(1/w) overflows) raises NumericError.
     The root loop (module docstring) drives the kept modular to within
-    tol - pruned_bound of 1, so the full modular meets |modular(lam) - 1| <=
-    tol, unless the bracket collapses to adjacent doubles first.  A bracket
-    no wider than tol * lam then comes back FINITE with its residual, which
-    exceeds tol where the evaluation noise (about q * 1e-16) does, unless it
-    is the largest double with the modular there above 1 + tol: the norm
-    exceeds the double range, and NumericError says so.  Otherwise
-    NumericError comes only from the inverses or from a residual above tol
-    with a bracket still wider than tol * lam, which takes a tol near one ULP.  A residual within tol, bisected or not, narrows the
-    bracket to lam exp(+-((|log S| + eps)/p + 2^-50)), eps from _log_sum_error,
-    as F = log S has F' >= p in u.  iterations counts the evaluations of the
-    kept modular, each over every kept atom; the inverses behind the bracket
-    and the cut, and the seed's sample, are not counted.
+    tol - pruned_bound of 1, or certifies that it does, so the full modular
+    meets |modular(lam) - 1| <= tol, unless the bracket collapses to adjacent
+    doubles first.  A bracket no wider than tol * lam then comes back FINITE
+    with its residual, which exceeds tol where the evaluation noise (about q
+    * 1e-16) does, unless hi is the capped largest double and the modular at
+    lam exceeds 1 + tol: the norm exceeds the double range, and NumericError
+    says so.  Otherwise NumericError comes only from the inverses or from a
+    residual above tol with a bracket still wider than tol * lam, which takes
+    a tol near one ULP.  A residual within tol narrows the bracket to lam
+    exp(+-(r/floor + 2^-50)), r = |log S| + eps (_log_sum_error): F' >= p in u
+    puts the root within r/p of lam, and there a Newton solve whose slope was
+    last evaluated as F'_k at u_k has F' >= F'_k (1 - 2 eps - 2^-50) - B2 (|u -
+    u_k| + r/p); floor is the larger.  iterations counts the evaluations of the
+    kept modular, each over every kept atom, not the inverses behind the
+    bracket and the cut, nor the seed's sample.
     """
     check_aligned(f, mu)
     if not 0.0 < tol < 1.0:
@@ -404,23 +416,40 @@ def luxemburg_norm(
         start = x if lo < x < hi else lo
     # the kernel's base form at q = 1, where mass (M/lo)^p >= sum_i b_i is in range (module doc)
     ref = lo if A.q == 1.0 and math.log(mass) + A.p * math.log(big / lo) <= 700.0 else None
+    b2, last = A.q * (0.25 * A.q + 1.0), []  # |F''| <= B2; [(lam, F, F', e)] of the last evaluation
+    if start is not None:  # eps >= the rounding of log S in [lo, hi], and of a point as F' < p + q
+        eps = _log_sum_error(A, big, lo, len(values), ref is not None)
+        eps += (A.p * math.log(hi / lo) + 0.5 * (A.p + A.q)) * 2.0**-50
     with _modular_kernel(A, values, weights, big, start is not None, ref) as modular_at:
-        def g(lam):  # (1 - S at lam, the Newton step in log lam or, to bisect, None)
-            s, d = modular_at(lam)
-            return 1.0 - s, None if d is None else _newton_step(s, d)
+        def g(lam):  # (1 - S at lam, the Newton step in log lam or, to bisect, None[, a bound
+            s, d = modular_at(lam)  # on |1 - S| at the step's point])
+            if d is None or not 0.0 < s < math.inf:
+                return 1.0 - s, None if d is None else math.nan
+            f, slope, bound = math.log(s), d / s, math.inf
+            step, e = f / slope, eps + abs(f) * (2.0 * eps + 2.0**-50)  # and the slope and step
+            for lam0, f0, slope0, e0 in last:  # if the last evaluation's Taylor prediction held
+                du = math.log(lam0 / lam)
+                if abs(f - f0 - slope0 * du) <= 0.5 * b2 * du * du + e + e0:  # expm1(1) > tol
+                    bound = math.expm1(min(0.5 * b2 * step * step + e, 1.0))
+            last[:] = [(lam, f, slope, e)]
+            return 1.0 - s, step, bound
 
         lam, h, lo, hi, evaluations = _root(g, lo, hi, tol - pruned_bound, x=start)
     residual = abs(h) + pruned_bound
-    if lam == sys.float_info.max and h < -tol:  # S > 1 + tol at the cap: the root lies past it
+    if hi == sys.float_info.max and h < -tol:  # S > 1 + tol below the cap: the root is past it
         raise NumericError(f"luxemburg_norm: the norm exceeds the double range: modular {1.0 - h!r}")
     if residual > tol and hi - lo > tol * lam:
         raise NumericError(
             f"luxemburg_norm stalled: bracket [{lo!r}, {hi!r}], "
             f"residual {residual:.3e} > tol {tol:g}"
         )
-    if residual <= tol:  # F' >= p: the root is within (|log S| + eps)/p in u
-        eps = _log_sum_error(A, big, lam, len(values), ref is not None)
-        m = (abs(math.log1p(-h)) + eps) / A.p + 2.0**-50
+    if residual <= tol:  # F' >= p, so the root is within r/p of lam in u, and F' >= floor there
+        eps = eps if last else _log_sum_error(A, big, lam, len(values), ref is not None)
+        r, floor = abs(math.log1p(-h)) + eps, A.p
+        for lam0, _, slope0, _ in last:  # F' >= F'_k - B2 |u - u_k|
+            reach = abs(math.log(lam / lam0)) + 2.0**-51 + r / A.p
+            floor = max(floor, slope0 * (1.0 - 2.0 * eps - 2.0**-50) - b2 * reach)
+        m = r / floor + 2.0**-50
         lo, hi = max(lo, _log_step(lam, -m)), min(hi, _log_step(lam, m))
     return NormResult(
         lam, lo, hi, residual, evaluations, NormStatus.FINITE, pruned_mass, pruned_bound
@@ -443,9 +472,10 @@ def _closed_form_bracket(A: YoungFunction, big: float, w_top: float, mass: float
 
 def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int, base=True) -> float:
     """eps >= the kernel's rounding error in log S at lam over n kept atoms,
-    derived as _closed_form_bracket's: 2 (n - 1) u for the sum, and for a
-    term 2^-50 (|log w_i| + p (|log a_i| + 2 |log M| + |log lam|) + q (|log L_i|
-    + 1 + 1/L_i)), with |log| <= 745 for a double and log shift <= L_i <= L(M).
+    derived as _closed_form_bracket's: 2u per rounding in the sum (n - 1 in any order, at most
+    log2(size) + 20 per block of size atoms in numpy's pairwise add.reduce, which tests pin,
+    and one per block sum), and for a term 2^-50 (|log w_i| + p (|log a_i| + 2 |log M| + |log
+    lam|) + q (|log L_i| + 1 + 1/L_i)), |log| <= 745 for a double, log shift <= L_i <= L(M).
     base says a q = 1 solve took the base form: b_i's exponent and the factor
     exp(p (log lo - log lam)) each add p |log lo| <= 745 p."""
     noise = 745.0 + A.p * (745.0 + 2.0 * abs(math.log(big)) + abs(math.log(lam)))
@@ -453,7 +483,8 @@ def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int, base=True) 
         low, top = math.log(A.shift), math.log(A.shift + big / lam)
         noise += A.q * (max(abs(math.log(low)), abs(math.log(top))) + 1.0 + 1.0 / low)
         noise += 1490.0 * A.p if base and A.q == 1.0 else 0.0
-    return (n - 1) * 2.0**-52 + 2.0**-50 * noise
+    blocks = -(-n // _BLOCK)
+    return min(n - 1, math.log2(-(-n // blocks)) + 20.0 + blocks) * 2.0**-52 + 2.0**-50 * noise
 
 
 def _seed(A, values, weights, big, w_top, kept_mass, lo):

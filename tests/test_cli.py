@@ -323,6 +323,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: luxemburg_norm: the norm exceeds the double range")
 
+    def test_norm_past_largest_double_below_the_cap_is_numeric_error(self, tmp_path, capsys):
+        # the solve stops one double below the capped end DBL_MAX, unevaluated
+        data = tmp_path / "below.csv"
+        data.write_text("x,weight,value\n0,2.32784142252375e-301,-1.7e308\n1,1e-310,1e-310\n"
+                        "2,9.062837311881994e179,8.815740457673906e70\n3,1.7e308,1.7e308\n")
+        assert run_cli("norm", "--input", str(data), "--p", "1", "--q", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: luxemburg_norm: the norm exceeds the double range")
+
     def test_bug_is_not_an_input_error(self, monkeypatch):
         # only the package's errors map to exit codes: a bare ValueError is a
         # bug, and surfaces with its traceback

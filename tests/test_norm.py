@@ -34,6 +34,11 @@ CHAR_NORM_M2 = 1.6781174572305117  # root of (1/l) * ln(e0 + 1/l) = 1/2
 P_NORM_GOLD = 2.7412947864931966  # (0.1 + 1.6 + 18.9)^(1/3)
 
 B11 = YoungFunction.log_bump(1, 1)
+# (values, weights) whose norm lies past the largest double, at p = 1 and q = 0, 1, 100
+PAST_LARGEST_DOUBLE = (
+    [-1.7e308, 1e-310, 8.815740457673906e70, 1.7e308],
+    [2.32784142252375e-301, 1e-310, 9.062837311881994e179, 1.7e308],
+)
 
 
 class TestModular:
@@ -254,6 +259,56 @@ class TestBlocks:
         assert maxima == [float(np.abs(values[blk]).max()) for blk in blocks]
         assert minima == [float(values[blk].min()) for blk in blocks]
         assert maxima[:2] == [2.0, 2.0] and max(maxima[2:]) < 1.0
+
+
+def pairwise_sum(a):
+    """numpy's pairwise summation of the floats a, operation for operation:
+    fewer than 8 in order from 0.0; up to 128 in 8 interleaved partial sums,
+    combined as a tree, then the remainder in order; more split in two at a
+    multiple of 8 below the half."""
+    n = len(a)
+    if n < 8:
+        total = 0.0
+        for x in a:
+            total += x
+        return total
+    if n <= 128:
+        r, i = list(a[:8]), 8
+        while i < n - n % 8:
+            r = [r[j] + a[i + j] for j in range(8)]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[i:]:
+            total += x
+        return total
+    half = n // 2 - (n // 2) % 8
+    return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
+
+
+class TestSummationOrder:
+    """_log_sum_error charges a kernel block's sum of n terms >= 0 at most
+    log2(n) + 20 roundings, where a sum in order could take n - 1.  That
+    holds only while np.add.reduce over a contiguous block sums pairwise:
+    these tests fail if it stops doing so."""
+
+    @pytest.mark.parametrize("n", [5, 100, 127, 129, 8193, 62_500, norm_module._BLOCK])
+    def test_add_reduce_is_pairwise(self, n):
+        # bit for bit on a block of a longer buffer, as the kernel reduces it
+        buf = np.empty(n + 3)
+        block = buf[:n]
+        block[:] = np.random.default_rng(n).lognormal(0.0, 3.0, n)
+        assert float(np.add.reduce(block)) == pairwise_sum(block.tolist())
+
+    def test_error_within_the_bound_where_order_fails_it(self):
+        # 1 and then 2^16 - 1 terms of 1e-16, each below half an ULP of 1:
+        # summed in order every one rounds away, about 59000 u; pairwise the
+        # small terms meet first, and the sum errs by 14 u
+        n = norm_module._BLOCK
+        x = np.full(n, 1e-16)
+        x[0] = 1.0
+        exact, bound = math.fsum(x), (math.log2(n) + 20.0) * 2.0**-53
+        assert abs(float(np.add.reduce(x)) - exact) <= bound * exact
+        assert abs(sum(x.tolist()) - exact) > 1000.0 * bound * exact
 
 
 def hexed(result):
@@ -688,6 +743,15 @@ class TestLuxemburgNorm:
         # where no double can report it (largest_double in EDGE_CASES is at it)
         mu, f = atoms([sys.float_info.max, 1.0], [2.0, 1.0])
         with pytest.raises(NumericError, match="norm exceeds the double range: modular 2.0"):
+            luxemburg_norm(YoungFunction.log_bump(1.0, q), f, mu)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 100.0])
+    def test_norm_past_largest_double_below_the_cap_raises(self, q):
+        # the loop stops one double below the capped hi = DBL_MAX, which it
+        # never evaluates, with the modular about 1.6e308 (2.1e307 at q = 100)
+        mu, f = atoms(*PAST_LARGEST_DOUBLE)
+        message = r"norm exceeds the double range: modular [12]\.\d+e\+30[78]"
+        with pytest.raises(NumericError, match=message):
             luxemburg_norm(YoungFunction.log_bump(1.0, q), f, mu)
 
     def test_homogeneity(self):
@@ -1302,6 +1366,101 @@ class TestSampledSeed:
                 plain, [_] = traced_norm(monkeypatch, A, f, mu)
             assert res.iterations <= plain.iterations
             assert abs(res.value / plain.value - 1.0) <= 2.0 * PRUNE_TOL / p
+
+
+CERTIFICATE_SHIFTS = [1.0 + 2.0**-40, 1.5, E0, math.e, 100.0, 1e300]
+
+
+class TestTaylorCertificate:
+    """In u = log(M/lam), F = log S has F'' = q^2 Var_pi(r) + q E_pi[t r'(t)],
+    r = t/((shift + t) log(shift + t)), so |F''| <= B2 = q (q/4 + 1) as 0 <= r
+    < 1 and -1 < t r' <= 1/4.  luxemburg_norm returns a Newton point without
+    evaluating it where B2 step^2/2 plus the rounding meets the tolerance."""
+
+    @pytest.mark.parametrize("shift", CERTIFICATE_SHIFTS)
+    def test_r_and_its_log_slope_bounded(self, shift):
+        # at 50 digits, from t = 1e-300 to 1e300 and near t = 1: 0 <= r < 1,
+        # and t r' = dr/dlog t, numerically, is r (shift/(shift + t) - r) in (-1, 1/4]
+        with mpmath.workdps(50):
+            s = mpmath.mpf(shift)
+
+            def r(v):
+                t = mpmath.exp(v)
+                return t / ((s + t) * mpmath.log(s + t))
+
+            ts = [mpmath.mpf(10) ** k for k in range(-300, 301, 10)]
+            ts += [1 + mpmath.mpf(d) for d in (-0.5, -1e-8, 1e-8, 0.5)]
+            for t in ts:
+                v = mpmath.log(t)
+                rt, slope = r(v), mpmath.diff(r, v)
+                assert 0 <= rt < 1
+                assert -1 < slope <= mpmath.mpf(1) / 4
+                assert mpmath.almosteq(slope, rt * (s / (s + t) - rt), rel_eps=1e-20)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 10.0, 1e3, 1e5])
+    def test_second_derivative_bound(self, q):
+        # F'' at 50 digits on random 2-32-atom inputs, at u from -4 to 4
+        rng = np.random.default_rng(int(10 * math.log10(q)) + 20)
+        bound, worst = q * (0.25 * q + 1.0), 0.0
+        with mpmath.workdps(50):
+            for _ in range(6):
+                n = int(rng.integers(2, 33))
+                p = float(rng.choice([1.0, 2.0, 100.0]))
+                a = [mpmath.mpf(float(x)) for x in rng.lognormal(0.0, 2.0, n)]
+                w = [mpmath.mpf(float(x)) for x in rng.uniform(0.1, 1.0, n) / n]
+                big = max(a)
+
+                def F(u):
+                    t = [x / big * mpmath.exp(u) for x in a]
+                    return mpmath.log(mpmath.fsum(
+                        wi * ti**p * mpmath.log(E0 + ti) ** q for wi, ti in zip(w, t)))
+
+                for u in np.linspace(-4.0, 4.0, 5):
+                    worst = max(worst, float(abs(mpmath.diff(F, mpmath.mpf(u), 2))) / bound)
+        assert 0.0 < worst <= 1.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 100.0])
+    @pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+    def test_accepted_steps(self, monkeypatch, case, p):
+        # a value never evaluated is an accepted step: its exact modular, in
+        # long double, meets tol and the residual, which is a bound there.
+        # Every Newton case accepts one at p = 1 and 2; at p = 100 the
+        # rounding bound grows as p (2.5e-10 at wide_values' 1e300) and may exceed tol
+        values, weights = newton_case(case)
+        mu, f = atoms(values, weights)
+        accepted = 0
+        for q in (0.5, 1.0, 3.0, 10.0, 100.0, 1e3, 1e5):
+            A = YoungFunction.log_bump(p, q)
+            res, kernels = traced_norm(monkeypatch, A, f, mu)
+            check_certified(A, values, weights, res, kernels)
+            if res.value not in kernels[-1][2]:
+                accepted += 1
+                assert abs(modular_longdouble(A, values, weights, res.value) - 1.0) <= res.residual
+        if case == "below_threshold":  # bisected
+            assert accepted == 0
+        elif p < 100.0:
+            assert accepted > 0
+
+    def test_one_evaluation_fewer(self, monkeypatch):
+        # the last evaluation of each solve only confirmed the point the one
+        # before it proposed; the certificate accepts that point instead
+        for n, q, evaluations in ((100_000, 1.0, 2), (10_000, 1.0, 3), (10_000, 10.0, 3),
+                                  (10_000, 100.0, 2)):
+            mu, f = lognormal_instance(seed=3, n=n)
+            A = YoungFunction.log_bump(2, q)
+            res, kernels = traced_norm(monkeypatch, A, f, mu)
+            assert res.iterations == evaluations and res.value not in kernels[-1][2]
+            check_certified(A, f.values, mu.weights, res, kernels)
+
+    def test_bracket_from_slope_bound(self, monkeypatch):
+        # the cli workload's input (1e4 atoms, seed 1) at p = 2, q = 1e5: F'
+        # >= F'_k - B2 |u - u_k| near the root narrows the final bracket to
+        # within 1e-11 of the value, where the slope floor p left 2.5e-10
+        mu, f = lognormal_instance(seed=1)
+        A = YoungFunction.log_bump(2, 1e5)
+        res, kernels = traced_norm(monkeypatch, A, f, mu)
+        assert res.bracket_hi - res.bracket_lo <= 1e-11 * res.value
+        check_certified(A, f.values, mu.weights, res, kernels)
 
 
 def kernel_builds(monkeypatch, call):
