@@ -39,12 +39,13 @@ whole in the log domain, so it is inf only when that itself overflows, and
 log(shift + |f_i|/lam) is taken as logaddexp(log|f_i| - log lam, log shift).
 
 At q = 1, the Zygmund t^p log(shift + t), the solver's kernel stores instead
-b_i = exp(c_i + p*(log M - log lo)) = w_i (|f_i|/lo)^p, lo the bracket's lower
-end, and sums (lo/lam)^p * sum_i b_i L_i, L_i = log(shift + |f_i|/lam): one log
-per atom and no exp.  It takes this base form where mass (M/lo)^p >= sum_i b_i
-is below e^700, so that no sum of b_i L_i <= 710 b_i overflows; the factor is
-normal, as p log(hi/lo) = log(mass (M/lo)^p) + log L(M/hi) <= 706.6 (A(M/lo) =
-1/w_top, A(M/hi) = 1/mass).  A b_i that underflows errs by under 3e-324.
+b_i = w_i (|f_i|/lo)^p, lo the bracket's lower end, by a divide, a power and a
+multiply, and sums (lo/lam)^p * sum_i b_i L_i, L_i = log(shift + |f_i|/lam): one
+log per atom and no exp.  It takes this base form where (M/lo)^p <= e^709 and
+mass max(1, (M/lo)^p) <= e^700, so no power, b_i or sum of b_i L_i <= 711 b_i
+overflows, and p log(hi/lo) = log(mass (M/lo)^p) + log L(M/hi) <= 706.6 keeps the
+factor normal (A(M/lo) = 1/w_top, A(M/hi) = 1/mass).  Powers that underflow cost
+under 2^-51 of the sum: each b_i errs by (w_i + 1) 2^-1073, and b_top >= 1/L(M/lo).
 
 On an input of at least _NEWTON_MIN_ATOMS atoms, however few are kept,
 each evaluation returns the Newton step in log lam, log S / F', which
@@ -172,8 +173,8 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, 
     and with slope D = sum_i term_i * (p + q r_i), each term times its
     d log A / d log t, from the same block buffers, else None.  S is the same
     bit for bit either way.  Callers pass |f|: the kernel takes no absolute value.
-    ref, given only at q = 1, is the least lam to be evaluated: the kernel then
-    takes the base form (module docstring), whose range the caller checks."""
+    ref, given only at q = 1, is the least lam to be evaluated: the kernel then takes
+    the base form (module docstring), no log or exp in its set-up; the caller checks its range."""
     p, q = A.p, A.q
     log_big = math.log(big) if big > 0.0 else 0.0  # all zeros: every c_i is -inf
     log_shift = math.log(A.shift) if q > 0.0 else 0.0
@@ -191,15 +192,13 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, 
                 for b, t in zip(blocks, ts)]
 
     def set_up(view):
-        """c_i = log w_i + p*(log a_i - log M) over the block, or b_i in base form."""
+        """c_i = log w_i + p*(log a_i - log M) over the block, or b_i = w_i (a_i/ref)^p."""
         w_blk, a_blk, c_blk, t, _ = view
+        if base:  # no log or exp: np.power(x, 2.0) is x * x
+            np.power(np.divide(a_blk, ref, out=c_blk), p, out=c_blk)
+            return np.multiply(c_blk, w_blk, out=c_blk)
         np.log(w_blk, out=c_blk)
-        np.log(a_blk, out=t)
-        t -= log_big
-        t *= p
-        c_blk += t
-        if base:
-            np.exp(np.add(c_blk, p * (log_big - math.log(ref)), out=c_blk), out=c_blk)
+        c_blk += np.multiply(np.subtract(np.log(a_blk, out=t), log_big, out=t), p, out=t)
 
     offset = lam = 0.0  # the point of the evaluation under way, set by modular_at
 
@@ -277,9 +276,8 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, 
         for s, d in each_block(block_sums):  # in block order
             total += s
             weighted += d
-        if base:  # times (ref/lam)^p, normal in the caller's bracket
-            scale = math.exp(p * (math.log(ref) - math.log(at)))
-            total, weighted = total * scale, weighted * scale
+        scale = math.exp(p * (math.log(ref) - math.log(at))) if base else 1.0  # (ref/lam)^p
+        total, weighted = total * scale, weighted * scale  # the factor is normal in the bracket
         return total, p * total + q * weighted if slope else None
 
     try:
@@ -414,20 +412,20 @@ def luxemburg_norm(
     if len(values) >= _SEED_MIN_ATOMS:
         x = _seed(A, values, weights, big, float(mu.weights[top]), kept_mass, lo)
         start = x if lo < x < hi else lo
-    # the kernel's base form at q = 1, where mass (M/lo)^p >= sum_i b_i is in range (module doc)
-    ref = lo if A.q == 1.0 and math.log(mass) + A.p * math.log(big / lo) <= 700.0 else None
+    span = A.p * math.log(big / lo) if A.q == 1.0 else math.inf  # the kernel's base form at q = 1
+    ref = lo if span <= 709.0 and math.log(mass) + max(span, 0.0) <= 700.0 else None  # (module doc)
     b2, last = A.q * (0.25 * A.q + 1.0), []  # |F''| <= B2; [(lam, F, F', e)] of the last evaluation
     if start is not None:  # eps >= the rounding of log S in [lo, hi], and of a point as F' < p + q
-        eps = _log_sum_error(A, big, lo, len(values), ref is not None)
+        eps = _log_sum_error(A, big, lo, len(values), ref)
         eps += (A.p * math.log(hi / lo) + 0.5 * (A.p + A.q)) * 2.0**-50
     with _modular_kernel(A, values, weights, big, start is not None, ref) as modular_at:
         def g(lam):  # (1 - S at lam, the Newton step in log lam or, to bisect, None[, a bound
             s, d = modular_at(lam)  # on |1 - S| at the step's point])
             if d is None or not 0.0 < s < math.inf:
                 return 1.0 - s, None if d is None else math.nan
-            f, slope, bound = math.log(s), d / s, math.inf
+            f, slope, bound = math.log(s), d / s, math.inf  # bound > e >= eps: none if eps >= tol
             step, e = f / slope, eps + abs(f) * (2.0 * eps + 2.0**-50)  # and the slope and step
-            for lam0, f0, slope0, e0 in last:  # if the last evaluation's Taylor prediction held
+            for lam0, f0, slope0, e0 in last if eps < tol - pruned_bound else ():  # Taylor test
                 du = math.log(lam0 / lam)
                 if abs(f - f0 - slope0 * du) <= 0.5 * b2 * du * du + e + e0:  # expm1(1) > tol
                     bound = math.expm1(min(0.5 * b2 * step * step + e, 1.0))
@@ -444,7 +442,7 @@ def luxemburg_norm(
             f"residual {residual:.3e} > tol {tol:g}"
         )
     if residual <= tol:  # F' >= p, so the root is within r/p of lam in u, and F' >= floor there
-        eps = eps if last else _log_sum_error(A, big, lam, len(values), ref is not None)
+        eps = eps if last else _log_sum_error(A, big, lam, len(values), ref)
         r, floor = abs(math.log1p(-h)) + eps, A.p
         for lam0, _, slope0, _ in last:  # F' >= F'_k - B2 |u - u_k|
             reach = abs(math.log(lam / lam0)) + 2.0**-51 + r / A.p
@@ -470,19 +468,21 @@ def _closed_form_bracket(A: YoungFunction, big: float, w_top: float, mass: float
     return tuple(ends)
 
 
-def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int, base=True) -> float:
+def _log_sum_error(A: YoungFunction, big: float, lam: float, n: int, ref=5e-324) -> float:
     """eps >= the kernel's rounding error in log S at lam over n kept atoms,
     derived as _closed_form_bracket's: 2u per rounding in the sum (n - 1 in any order, at most
     log2(size) + 20 per block of size atoms in numpy's pairwise add.reduce, which tests pin,
     and one per block sum), and for a term 2^-50 (|log w_i| + p (|log a_i| + 2 |log M| + |log
     lam|) + q (|log L_i| + 1 + 1/L_i)), |log| <= 745 for a double, log shift <= L_i <= L(M).
-    base says a q = 1 solve took the base form: b_i's exponent and the factor
-    exp(p (log lo - log lam)) each add p |log lo| <= 745 p."""
+    ref is the lo of a q = 1 base form (None: log form; the least double has the largest |log|):
+    b_i adds (p + 3) u, a divide raised to p, np.power's 1 ULP (tests pin it) and a multiply,
+    the factor (lo/lam)^p 4 u p (|log ref| + |log lam|) + 3 u, and underflow 2^-51 (module doc)."""
     noise = 745.0 + A.p * (745.0 + 2.0 * abs(math.log(big)) + abs(math.log(lam)))
     if A.q > 0.0:  # L(M) is inf where M/lam overflows, and so is eps
         low, top = math.log(A.shift), math.log(A.shift + big / lam)
         noise += A.q * (max(abs(math.log(low)), abs(math.log(top))) + 1.0 + 1.0 / low)
-        noise += 1490.0 * A.p if base and A.q == 1.0 else 0.0
+    if ref is not None and A.q == 1.0:  # the base form's, in units of 2^-50 = 8 u
+        noise += A.p * (abs(math.log(ref)) + abs(math.log(lam)) + 0.25) / 2.0 + 2.0
     blocks = -(-n // _BLOCK)
     return min(n - 1, math.log2(-(-n // blocks)) + 20.0 + blocks) * 2.0**-52 + 2.0**-50 * noise
 

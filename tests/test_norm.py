@@ -311,6 +311,36 @@ class TestSummationOrder:
         assert abs(sum(x.tolist()) - exact) > 1000.0 * bound * exact
 
 
+class TestPowerAccuracy:
+    """_log_sum_error charges the base form's np.power(x, p) at most one ULP,
+    and the set-up's b_i at p = 2 are products x * x.  These tests pin both on
+    contiguous arrays with an out buffer, as the kernel calls np.power."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 100.0])
+    def test_power_within_one_ulp(self, p):
+        # x from 1e-300 up to where x^p nears the largest double, and x whose
+        # x^p lies among the subnormals or underflows to 0
+        rng = np.random.default_rng(int(10 * p))
+        top, tiny = math.log(sys.float_info.max) - 0.01, math.log(sys.float_info.min)
+        x = np.concatenate([
+            np.exp(rng.uniform(math.log(1e-300), top / p, 300)),
+            np.exp(rng.uniform(math.log(2.0**-1074) - 20.0, tiny, 150) / p),
+        ])
+        y = np.empty(len(x))
+        np.power(x, p, out=y)
+        with mpmath.workdps(50):
+            for xi, yi in zip(x.tolist(), y.tolist()):
+                exact = mpmath.mpf(xi) ** p
+                assert abs(yi - exact) <= math.ulp(float(exact)), (xi, p)
+
+    def test_square_is_product(self):
+        rng = np.random.default_rng(2)
+        x = np.exp(rng.uniform(math.log(2.0**-1074), math.log(1e154), 100_000))
+        y = np.empty(len(x))
+        np.power(x, 2.0, out=y)
+        assert np.array_equal(y, x * x)
+
+
 def hexed(result):
     """A NormResult's fields, floats as hex, so that -0.0 and every last bit count."""
     return [x.hex() if isinstance(x, float) else x for x in astuple(result)]
@@ -1462,6 +1492,20 @@ class TestTaylorCertificate:
         assert res.bracket_hi - res.bracket_lo <= 1e-11 * res.value
         check_certified(A, f.values, mu.weights, res, kernels)
 
+    @pytest.mark.parametrize("q, tol", [(1e5, PRUNE_TOL), (1.0, 1e-12)])
+    def test_no_taylor_test_where_eps_meets_tol(self, monkeypatch, q, tol):
+        # every bound is at least expm1(e) > e >= eps, so where eps >= tol -
+        # pruned_bound (q = 1e5 on the cli workload's input; tol below eps at
+        # q = 1) no step is accepted, and no evaluation runs the Taylor test or
+        # forms a bound; the slope floor still narrows the final bracket
+        mu, f = lognormal_instance(seed=1)
+        A = YoungFunction.log_bump(2, q)
+        bounds, expm1 = [], math.expm1
+        monkeypatch.setattr(math, "expm1", lambda x: bounds.append(x) or expm1(x))
+        res, kernels = traced_norm(monkeypatch, A, f, mu, tol)
+        assert not bounds and res.value in kernels[-1][2]
+        assert res.bracket_hi - res.bracket_lo <= 1e-11 * res.value
+
 
 def kernel_builds(monkeypatch, call):
     """call(), and (min a, max a, big, len a) of every modular kernel it builds."""
@@ -1574,7 +1618,8 @@ def solve_in_form(monkeypatch, A, f, mu, base):
 
 class TestBaseForm:
     """At q = 1 the solver's kernel sums b_i L_i, b_i = w_i (a_i/lo)^p, where
-    mass (M/lo)^p <= e^700, and today's log-domain form elsewhere."""
+    (M/lo)^p <= e^709 and mass max(1, (M/lo)^p) <= e^700, and the log-domain
+    form elsewhere."""
 
     @staticmethod
     def cases():
@@ -1662,6 +1707,61 @@ class TestBaseForm:
                 except OrliczError:
                     pass
         assert len(checked) >= 100 and max(spans) > 700.0
+
+    # (values, weights, p, whether the base form is taken, the range of p log(M/lo))
+    GUARD_EDGES = {
+        "span_700_709_p1": ([1.0, 0.5, 0.25], [2.7e-311, 5e-5, 1e-4], 1.0, True, (700.0, 709.0)),
+        "span_700_709_p2": ([1.0, 0.5, 0.25], [5.5e-311, 5e-5, 1e-4], 2.0, True, (700.0, 709.0)),
+        # mass below 1 and (M/lo)^p past the largest double: log(mass) + p log(M/lo)
+        # is under 700, but the power would overflow
+        "power_past_overflow": ([1.0, 0.5], [1e-315, 1e-10], 2.0, False, (709.79, 750.0)),
+        # weights above 1 on kept atoms whose (a_i/lo)^p is subnormal
+        "underflow_heavy_weights": ([1.0, 1e-155, 3e-156, 0.5], [1.0, 1e303, 5e302, 2.0], 2.0, True,
+                                    (-1.0, 1.0)),
+        # mass above e^700 with mass (M/lo)^p near 1
+        "mass_past_e700": ([1.0, 0.5], [1e306, 1e306], 2.0, False, (-710.0, -700.0)),
+    }
+
+    @pytest.mark.parametrize("case", GUARD_EDGES)
+    def test_guard_edges(self, monkeypatch, case):
+        # on each side of the base form's range test: where the base form is
+        # taken, log S at lo, hi and 7 points between lies within the solve's own
+        # _log_sum_error (its ref) of 50 digits, and the value within tol / p of
+        # the log-domain form's; where it is not, the log-domain form's bits
+        values, weights, p, base, (low, high) = self.GUARD_EDGES[case]
+        A = YoungFunction.log_bump(p, 1.0)
+        mu, f = atoms(values, weights)
+        big, top = max(values), int(np.argmax(values))
+        lo, hi = norm_module._closed_form_bracket(A, big, weights[top], mu.total_mass, len(values))
+        assert low < p * math.log(big / lo) <= high
+        kernel, checked = norm_module._modular_kernel, []
+
+        @contextmanager
+        def checking_kernel(A, a, w, big, slope=False, ref=None):
+            with kernel(A, a, w, big, slope, ref) as modular_at:
+                if ref is not None:
+                    powers = (a / ref) ** p
+                    if case.startswith("underflow"):  # a kept atom's power is subnormal
+                        assert np.any((powers > 0.0) & (powers < sys.float_info.min) & (w > 1.0))
+                    for lam in [lo, *np.geomspace(lo, hi, 9)[1:-1], hi]:
+                        s, exact = modular_at(float(lam))[0], self.log_s_mpmath(A, a, w, lam)
+                        if exact > -650.0:
+                            eps = norm_module._log_sum_error(A, big, float(lam), len(a), ref)
+                            assert abs(math.log(s) - exact) <= eps, (case, lam)
+                            checked.append(lam)
+                yield modular_at
+
+        with monkeypatch.context() as mp:
+            mp.setattr(norm_module, "_modular_kernel", checking_kernel)
+            res, refs = solve_in_form(monkeypatch, A, f, mu, base=True)
+        log_res, _ = solve_in_form(monkeypatch, A, f, mu, base=False)
+        assert res.status == log_res.status == NormStatus.FINITE
+        assert refs[-1] == (lo if base else None)
+        if base:
+            assert len(checked) >= 5
+            assert abs(res.value - log_res.value) <= norm_module.DEFAULT_TOL / p * log_res.value
+        else:
+            assert hexed(res) == hexed(log_res)
 
 
 class TestCharNormClosedForm:
