@@ -29,6 +29,8 @@ __all__ = [
     "load_csv",
 ]
 
+_CHUNK = 1 << 12  # values per chunk of a SampledFunction's extrema
+
 
 def _as_readonly_1d(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -74,17 +76,25 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """One real value per atom of an associated DiscreteMeasure."""
+    """One real value per atom of an associated DiscreteMeasure, and the read-only max and
+    min of each chunk values[k * _CHUNK : (k + 1) * _CHUNK], which validate them."""
 
     values: np.ndarray
+    _chunk_max: np.ndarray = field(init=False, repr=False)
+    _chunk_min: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = _as_readonly_1d(self.values, "values")
         if len(vals) < 1:
             raise InputError("a sampled function needs at least one value")
-        if not np.all(np.isfinite(vals)):
+        starts = np.arange(0, len(vals), _CHUNK)
+        hi, lo = np.maximum.reduceat(vals, starts), np.minimum.reduceat(vals, starts)
+        if not all(map(math.isfinite, hi.tolist() + lo.tolist())):  # nan and +-inf reach them
             raise InputError("function values must be finite")
+        hi.flags.writeable = lo.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_chunk_max", hi)
+        object.__setattr__(self, "_chunk_min", lo)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -98,11 +108,10 @@ def check_aligned(f: SampledFunction, mu: DiscreteMeasure) -> None:
 
 
 def ess_sup(f: SampledFunction, mu: DiscreteMeasure) -> float:
-    """Essential supremum of |f|: the max over atoms, all of positive weight.
-    Taken as max(max f, -min f), exactly max |f_i| with no N-sized |f|; the
-    leading 0.0 makes it +0.0 where every f_i is a zero of either sign."""
+    """Essential supremum of |f|, all atoms of positive weight: max(0.0, max f, -min f) from
+    f's chunk extrema, exactly max |f_i|, +0.0 where every f_i is a zero of either sign."""
     check_aligned(f, mu)
-    return max(0.0, float(f.values.max()), -float(f.values.min()))
+    return max(0.0, float(f._chunk_max.max()), -float(f._chunk_min.min()))
 
 
 def level_set_measure(f: SampledFunction, mu: DiscreteMeasure, lam: float) -> float:

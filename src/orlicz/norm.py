@@ -9,9 +9,9 @@ accuracy is relative and the bracket can span hundreds of decades.  The
 package's one root loop, young._root, narrows that bracket: it bisects, or
 on inputs of 2^10 atoms or more evaluates Newton proposals that land inside it.
 
-Every pass over N atoms runs on one partition, _blocks(N): ceil(N / 2^16)
-blocks of equal size, the last one shorter, which depends on N alone.  The
-set-up's memory-bound passes run on the calling thread; the kernel shares
+The kernel's passes over N atoms run on one partition, _blocks(N): ceil(N /
+2^16) blocks of equal size, the last one shorter, which depends on N alone.
+The set-up's mask and gather run on the calling thread; the kernel shares
 its blocks among min(CPUs, blocks) threads, so from 2^16 + 1 atoms two
 CPUs share the work.  From two threads on, the kernel makes its
 one thread pool, whose threads and the caller each take the next block not
@@ -19,12 +19,11 @@ yet taken, in parallel since numpy's ufuncs release the GIL.  Results come
 back in block order and sums are added in it, so the thread count changes
 no result.
 
-The set-up's first pass takes each block's maximum and minimum, then the
-top atom in the first block attaining M = max |f|; a second, after the
-pruning cut, visits only the blocks whose maximum is above it, gathering
-the kept atoms in block order, and masks none whose minimum is above it
-too.  At large q only the atoms near ess sup |f| are kept: the pointwise
-domination behind the paper's upper bound.
+The set-up reads M = max |f| and the sign from SampledFunction's max and min of
+each chunk of 2^12 values, the top atom by one argmax in the first chunk attaining
+M.  After the cut it masks only runs of chunks whose max |f| is above it, none whose
+minimum is too, reading O(N / 2^12 + kept) values.  At large q only the atoms near
+ess sup |f| are kept: the pointwise domination behind the paper's upper bound.
 
 One kernel evaluates the modular for modular(), p_norm() and the solver,
 on atoms >= 0: each caller passes |f_i|, an N-sized copy only where some
@@ -84,7 +83,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .measure import DiscreteMeasure, SampledFunction, check_aligned, ess_sup
+from .measure import _CHUNK, DiscreteMeasure, SampledFunction, check_aligned, ess_sup
 from .young import YoungFunction, _log_step, _root, _solve_log
 
 __all__ = [
@@ -151,18 +150,40 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _ess_sup(f: np.ndarray) -> tuple[int, float, list, list]:
-    """(top, M, maxima of |f|, minima of f per block of _blocks): M = max |f|, top
-    its first atom, as np.argmax(np.abs(f)) finds it: the first argmax of |f| in the
-    first block attaining M.  np.argmax would copy each block of a read-only f; the
-    reductions do not."""
-    blocks, maxima, minima = _blocks(len(f)), [], []
-    for blk in blocks:
-        minima.append(float(np.minimum.reduce(f[blk])))
-        maxima.append(max(float(np.maximum.reduce(f[blk])), -minima[-1]))
-    b = maxima.index(max(maxima))
-    top = blocks[b].start + int(np.argmax(np.abs(f[blocks[b]])))
-    return top, maxima[b], maxima, minima
+def _top(f: SampledFunction) -> tuple[int, float, float]:
+    """(top, M, min f) from f's chunk extrema: M = max |f|, top its first atom, as
+    np.argmax(np.abs(f)) finds it, by one argmax in the first chunk attaining M."""
+    hi, lo, one = f._chunk_max, f._chunk_min, len(f) <= _CHUNK  # one: floats, no temporaries
+    low, high = (float(lo[0]), float(hi[0])) if one else (float(lo.min()), float(hi.max()))
+    big = max(high, -low)
+    k = 0 if one else int(((hi == big) | (lo == -big)).argmax())
+    return k * _CHUNK + int(np.abs(f.values[k * _CHUNK:(k + 1) * _CHUNK]).argmax()), big, low
+
+
+def _kept(f: SampledFunction, cut: float):
+    """np.flatnonzero(np.abs(f.values) > cut) or, where that is every atom, None: a mask over
+    each run of consecutive chunks with max |f| > cut >= 0, none where its minimum is > cut."""
+    hi, lo, n = f._chunk_max, f._chunk_min, len(f)
+    if n <= _CHUNK:  # as in _top
+        runs = [(slice(0, n), float(lo[0]))] if float(hi[0]) > cut or float(lo[0]) < -cut else []
+    else:  # (atoms, min f) per run, from each run's first chunk and end
+        above = np.zeros(len(hi) + 2, dtype=bool)  # False before the first chunk and after the last
+        np.logical_or(hi > cut, lo < -cut, out=above[1:-1])
+        edges = (above[1:] != above[:-1]).nonzero()[0].tolist()
+        runs = [(slice(a * _CHUNK, min(b * _CHUNK, n)), min(lo[a:b].tolist()))
+                for a, b in zip(edges[::2], edges[1::2])]
+    kept, count = [], 0  # per run: (its atoms, indices of those |f_i| > cut, None for all)
+    for run, run_min in runs:
+        k = None  # where run_min > cut, f_i >= run_min > cut >= 0 for all
+        if not run_min > cut:
+            keep = np.greater(np.abs(f.values[run]) if run_min < 0.0 else f.values[run], cut)
+            k = None if keep.all() else run.start + keep.nonzero()[0]
+        kept.append((run, k))
+        count += run.stop - run.start if k is None else len(k)
+    if count == n:
+        return None
+    index = [np.arange(run.start, run.stop) if k is None else k for run, k in kept]
+    return index[0] if len(index) == 1 else np.concatenate([np.empty(0, dtype=np.intp), *index])
 
 
 @contextmanager
@@ -292,15 +313,15 @@ def _modular_kernel(A: YoungFunction, a: np.ndarray, w: np.ndarray, big: float, 
 def modular(A: YoungFunction, f: SampledFunction, mu: DiscreteMeasure, lam: float) -> float:
     """sum_i w_i A(|f_i| / lam), each term computed whole in the log domain.
 
-    A term is math.inf only when w_i A(|f_i|/lam) itself exceeds the double
-    range, even where |f_i|/lam alone does; the sum is then math.inf.  A
-    term below the range is 0.0, and f_i = 0 gives 0.0.
+    A term is math.inf only when w_i A(|f_i|/lam) itself exceeds the double range, even
+    where |f_i|/lam alone does; the sum is then math.inf.  A term below the range is 0.0,
+    and f_i = 0 gives 0.0.  M and the sign come from f's chunk extrema.
     """
     check_aligned(f, mu)
     if not lam > 0.0:
         raise DomainError(f"modular requires lam > 0, got {lam}")
-    _, big, _, minima = _ess_sup(f.values)
-    a = np.abs(f.values) if min(minima) < 0.0 else f.values
+    _, big, low = _top(f)
+    a = np.abs(f.values) if low < 0.0 else f.values
     with _modular_kernel(A, a, mu.weights, big) as modular_at:
         return modular_at(lam)[0]
 
@@ -326,12 +347,12 @@ def luxemburg_norm(
     of N weights.  Each end moves outward by that and 2^-50 more for its own
     roundings, to at most the largest double, so lam_lo <= root <= lam_hi.
 
-    Atoms with |f_i| <= cut = lam_lo * A^{-1}(tol / (4s)) are then dropped,
-    atoms with f_i = 0 among them.  The inverse is solved to a log-residual
-    of 0.5e-3 only: pruned_bound is recomputed from the cut, and at 0.5e-12
-    the cut took 5.2 log_value calls, not 2.8, on the q-ladder benchmark's
-    inputs, where 5 of 96 solves at q = 1e10 met the evaluation noise and
-    raised NumericError.  For every lam >= lam_lo the dropped atoms add at most
+    Atoms with |f_i| <= cut = lam_lo * A^{-1}(tol / (4s)) are then dropped, atoms
+    with f_i = 0 among them, by a mask over the runs of chunks above the cut (_kept).
+    The inverse is solved to a log-residual of 0.5e-3 only: pruned_bound is recomputed
+    from the cut, and at 0.5e-12 the cut took 5.2 log_value calls, not 2.8, on the
+    q-ladder benchmark's inputs, where 5 of 96 solves at q = 1e10 met the evaluation
+    noise and raised NumericError.  For every lam >= lam_lo the dropped atoms add at most
 
         pruned_bound = pruned_mass * (1 + 4 N u) * A(cut / lam_lo),   about tol/4,
 
@@ -367,7 +388,7 @@ def luxemburg_norm(
     check_aligned(f, mu)
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tol must be positive and below 1, got {tol}")
-    top, big, maxima, minima = _ess_sup(f.values)
+    top, big, low = _top(f)
     if big == 0.0:
         return NormResult(0.0, 0.0, 0.0, 0.0, 0, NormStatus.ZERO)
 
@@ -381,18 +402,8 @@ def luxemburg_norm(
     if cut < sys.float_info.min:  # a subnormal cut has too few bits to bound what it drops
         cut = 0.0
     values, weights, kept_mass = f.values, mu.weights, mass  # the kernel's if nothing is dropped
-    pruned_mass = pruned_bound = 0.0
-    kept = []  # per block above the cut: (block, indices of its atoms |f_i| > cut, None for all)
-    for blk, block_max, block_min in zip(_blocks(len(f)), maxima, minima):
-        if block_min > cut:  # f_i >= block_min > cut >= 0 for all: no mask
-            kept.append((blk, None))
-        elif block_max > cut:  # else the block holds none
-            keep = np.greater(np.abs(values[blk]) if block_min < 0.0 else values[blk], cut)
-            kept.append((blk, None if keep.all() else blk.start + keep.nonzero()[0]))
-    keep = None  # the last block's mask is freed before the kernel allocates
-    if len(kept) < len(maxima) or any(k is not None for _, k in kept):  # something dropped
-        index = [np.arange(blk.start, blk.stop) if k is None else k for blk, k in kept]
-        index = index[0] if len(index) == 1 else np.concatenate(index)
+    index, pruned_mass, pruned_bound = None if low > cut else _kept(f, cut), 0.0, 0.0
+    if index is not None:  # something dropped
         values, weights = f.values[index], mu.weights[index]
         kept_mass = float(weights.sum())
         if kept_mass <= 0.5 * mass:  # at least mass/2 is dropped: no cancellation
@@ -405,7 +416,7 @@ def luxemburg_norm(
             rounded_up = pruned_mass * (1.0 + len(f) * 2.0**-51)  # times 1 + 4 N u
             pruned_bound = rounded_up * math.exp(A.log_value(cut / lo))
             assert pruned_bound <= 0.5 * tol, (pruned_bound, tol)
-    if min(minima) < 0.0:  # the kernel takes |f|
+    if low < 0.0:  # the kernel takes |f|
         values = np.abs(values)
 
     start = lo if len(f) >= _NEWTON_MIN_ATOMS else None

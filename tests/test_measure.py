@@ -38,6 +38,28 @@ class TestConstruction:
         with pytest.raises(InputError):
             SampledFunction([1.0, np.inf])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "n, at",
+        [(1, 0), (2**12, 0), (2**12, 2**12 - 1), (3 * 2**12 + 5, 0), (3 * 2**12 + 5, 5000),
+         (3 * 2**12 + 5, 3 * 2**12 + 4)],
+        ids=["one", "chunk-first", "chunk-last", "first-chunk", "middle-chunk", "tail-chunk"],
+    )
+    def test_non_finite_value_in_any_chunk(self, n, at, bad):
+        # the chunk extrema that validate the values carry nan and +-inf
+        values = np.linspace(-1.0, 1.0, n)
+        values[at] = bad
+        with pytest.raises(InputError, match="^function values must be finite$"):
+            SampledFunction(values)
+
+    def test_chunk_extrema_are_read_only(self):
+        f = SampledFunction(np.linspace(-1.0, 1.0, 2**12 + 1))
+        assert f._chunk_max.tolist() == [1.0 - 2.0 / 2**12, 1.0]
+        assert f._chunk_min.tolist() == [-1.0, 1.0]
+        for extrema in (f._chunk_max, f._chunk_min):
+            with pytest.raises(ValueError, match="read-only"):
+                extrema[0] = 0.0
+
     def test_needs_a_value(self):
         with pytest.raises(InputError, match="at least one value"):
             SampledFunction([])

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import orlicz.measure as measure_module
 import orlicz.norm as norm_module
 from orlicz import (
     E0,
@@ -23,6 +24,7 @@ from orlicz import (
     char_norm_closed_form,
     compare,
     default_grid,
+    ess_sup,
     indicator,
     luxemburg_norm,
     modular,
@@ -226,7 +228,7 @@ class TestModularKernel:
 
 
 class TestBlocks:
-    """Every pass over N atoms runs on one partition: _blocks(N)."""
+    """Every pass of the kernel over N atoms runs on one partition: _blocks(N)."""
 
     @pytest.mark.parametrize(
         "n", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 2, 3 * 2**16 + 7, 10**6]
@@ -241,24 +243,124 @@ class TestBlocks:
         sizes = [len(range(n)[blk]) for blk in blocks]
         assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
 
+
+CHUNK = measure_module._CHUNK  # values per chunk of a SampledFunction's extrema
+
+
+class TestChunks:
+    """A SampledFunction keeps each chunk's max and min; ess_sup and the
+    solver read M, the top atom and the sign from them, and the solver
+    prunes run by run of chunks above its cut."""
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_ess_sup_on_the_partition(self, sign):
-        # -M and +M on either side of the first boundary of the equal
-        # partition, 49154, not a multiple of 2^16: the block maxima of |f|
-        # and minima of f are those of _blocks' slices, and the top atom is
-        # the first attaining M
-        n = 3 * 2**16 + 7
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * 2**16 + 7])
+    def test_summary_on_the_partition(self, n, sign):
+        # -M and +M on either side of a chunk boundary, and of the kernel's
+        # first block boundary, 49154, a multiple of neither 2^12 nor 2^16,
+        # and +M again at the end: the chunk extrema are numpy's max and
+        # min over each slice, and the top atom is the first attaining M
         rng = np.random.default_rng(9)
+        base = rng.uniform(-1.0, 1.0, n)
+        if n > 2**16:
+            assert norm_module._blocks(n)[1].start == 49154 and 49154 % CHUNK
+        for edge in [e for e in (CHUNK, 49154) if e < n] or [n - 1]:
+            values = base.copy()
+            pair = [edge - 1, edge] if edge else [edge]
+            values[pair] = [-2.0 * sign, 2.0 * sign][-len(pair):]
+            if n - 1 > edge:
+                values[-1] = 2.0
+            mu, f = atoms(values, np.ones(n))
+            starts = range(0, n, CHUNK)
+            assert f._chunk_max.tolist() == [values[k:k + CHUNK].max() for k in starts]
+            assert f._chunk_min.tolist() == [values[k:k + CHUNK].min() for k in starts]
+            assert not f._chunk_max.flags.writeable and not f._chunk_min.flags.writeable
+            top, big, low = norm_module._top(f)
+            assert (top, big, low) == (pair[0], 2.0, values.min())
+            assert top == int(np.argmax(np.abs(values))) and ess_sup(f, mu) == 2.0
+            chunk_abs_max = np.maximum(f._chunk_max, -f._chunk_min)
+            at_m = sorted({i // CHUNK for i in pair + ([n - 1] if n - 1 > edge else [])})
+            assert np.flatnonzero(chunk_abs_max == 2.0).tolist() == at_m
+            assert np.delete(chunk_abs_max, at_m).max(initial=0.0) < 1.0
+
+    @staticmethod
+    def selection_input(n):
+        """n values of |f| <= 1, signed, with zeros and -0.0; from 3 * 2^16 atoms
+        on, chunks 10-13 in [5, 6] (the kernel's first block edge, 49154, lies
+        inside chunk 12), chunk 20 signed and scaled by 3, and 8.0 in the tail."""
+        rng = np.random.default_rng(n)
         values = rng.uniform(-1.0, 1.0, n)
-        blocks = norm_module._blocks(n)
-        edge = blocks[1].start
-        assert edge % 2**16 and edge == blocks[0].stop == 49154
-        values[[edge - 1, edge]] = -2.0 * sign, 2.0 * sign
-        top, big, maxima, minima = norm_module._ess_sup(values)
-        assert (top, big) == (edge - 1, 2.0)
-        assert maxima == [float(np.abs(values[blk]).max()) for blk in blocks]
-        assert minima == [float(values[blk].min()) for blk in blocks]
-        assert maxima[:2] == [2.0, 2.0] and max(maxima[2:]) < 1.0
+        values[::5], values[2::7] = 0.0, -0.0
+        if n > 3 * 2**16:
+            values[10 * CHUNK:14 * CHUNK] = rng.uniform(5.0, 6.0, 4 * CHUNK)
+            values[20 * CHUNK:21 * CHUNK] *= 3.0
+            values[-2] = 8.0
+        return values
+
+    @pytest.mark.parametrize("n", [1, 5, CHUNK + 1, 3 * 2**16 + 7])
+    def test_selection(self, monkeypatch, n):
+        # _kept keeps exactly the atoms |f_i| > cut in index order, or gives None
+        # where that is every atom, for cuts of 0, between two chunks' max |f|,
+        # equal to a chunk's max |f| or min f (> is strict), and at or above M;
+        # it compares only runs of chunks above the cut, and a run whose
+        # minimum exceeds the cut with no mask
+        values = self.selection_input(n)
+        f = SampledFunction(values)
+        absf = np.abs(values)
+        big = absf.max()
+        chunk_abs_max = np.unique(np.maximum(f._chunk_max, -f._chunk_min))
+        cuts = {0.0, big, 2.0 * big, *chunk_abs_max, *f._chunk_min[f._chunk_min > 0.0]}
+        cuts |= set((chunk_abs_max[1:] + chunk_abs_max[:-1]) / 2.0)
+        compared, greater = [], np.greater
+
+        def recording_greater(a, *args, **kwargs):
+            compared.append(len(a))
+            return greater(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "greater", recording_greater)
+        for cut in sorted(cuts):
+            compared.clear()
+            expected = np.flatnonzero(absf > cut)
+            index = norm_module._kept(f, cut)
+            if len(expected) == n:
+                assert index is None
+            else:
+                assert index.dtype == np.intp and np.array_equal(index, expected), cut
+            above = [absf[k:k + CHUNK] for k in range(0, n, CHUNK) if absf[k:k + CHUNK].max() > cut]
+            assert sum(compared) <= sum(len(chunk) for chunk in above)
+        if n > 3 * 2**16:  # 2.0 lies between the max |f| of chunk 20 and of the others:
+            compared.clear()  # chunks 10-13 are kept whole, and only chunk 20 and the tail compared
+            kept = norm_module._kept(f, 2.0)
+            assert compared == [CHUNK, n % CHUNK]
+            assert np.array_equal(kept, np.flatnonzero(absf > 2.0))
+            assert np.isin(np.arange(10 * CHUNK, 14 * CHUNK), kept).all()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nothing_dropped_nothing_gathered(self, monkeypatch, sign):
+        # a solve that prunes nothing gathers nothing: the kernel receives the
+        # input's own values and weights, or for a signed input its |f|
+        rng = np.random.default_rng(5)
+        n = 3 * CHUNK + 5
+        values = rng.uniform(0.5, 1.0, n)
+        values[::3] *= sign
+        mu, f = atoms(values, rng.uniform(0.1, 1.0, n) / n)
+        assert norm_module._kept(f, 0.0) is None
+        received, kernel = [], norm_module._modular_kernel
+
+        @contextmanager
+        def recording_kernel(A, a, w, *args, **kwargs):
+            received.append((a, w))
+            with kernel(A, a, w, *args, **kwargs) as modular_at:
+                yield modular_at
+
+        monkeypatch.setattr(norm_module, "_modular_kernel", recording_kernel)
+        res = luxemburg_norm(YoungFunction.log_bump(2.0, 1.0), f, mu)
+        assert res.pruned_mass == 0.0 and received
+        a, w = received[-1]
+        assert w is mu.weights
+        if sign > 0.0:
+            assert a is f.values
+        else:
+            assert np.array_equal(a, np.abs(f.values))
 
 
 def pairwise_sum(a):
@@ -440,7 +542,7 @@ SET_UP_CASES = {
 
 def kept_atoms(monkeypatch, A, f, mu):
     """luxemburg_norm; copies of the (a, w) of every kernel built; and the
-    number of blocks the cut compares with it."""
+    number of runs of chunks the cut compares with it."""
     kernels, compared = [], []
     kernel, greater = norm_module._modular_kernel, np.greater
 
@@ -500,7 +602,7 @@ class TestShardedKernel:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("case", sorted(SET_UP_CASES))
     def test_set_up_changes_no_number(self, monkeypatch, pool_tasks, case, cpus):
-        # the set-up's two passes run on the calling thread, the kernel on its
+        # the set-up's mask and gather run on the calling thread, the kernel on its
         # threads: every result is bit-identical to the serial solve, the pool
         # is made only for a kernel of two blocks, and the kept atoms are
         # those of a numpy mask |f| > cut (strictly), gathered in index order.
@@ -528,7 +630,7 @@ class TestShardedKernel:
         assert np.array_equal(np.abs(a), absf[keep]) and np.array_equal(w, weights[keep])
         if case == "cut_attained":
             assert not keep[CUT_AT].any()
-        if case == "kept_in_one_block":  # the cut visits that block alone
+        if case == "kept_in_one_block":  # the cut visits that atom's chunk alone
             assert compared == 1
 
     def test_small_inputs_use_no_pool(self, monkeypatch, pool_tasks):
@@ -1016,10 +1118,11 @@ class TestPruning:
 
     @pytest.mark.parametrize("q", [1.0, 1e5])
     def test_allocation(self, monkeypatch, q):
-        # tracemalloc sees numpy's buffers.  The set-up takes |f| of a block
-        # and the cut a mask of one block (9 B per block atom), freed before
-        # the kernel makes its buffer and a second for the slope: with one atom
-        # kept (q = 1e5) nothing is N-sized, and with nothing pruned (q = 1)
+        # tracemalloc sees numpy's buffers.  The set-up takes |f| of a chunk
+        # and the cut a mask of the runs of chunks above it (one chunk at
+        # q = 1e5, none at q = 1, whose one run lies wholly above the cut),
+        # freed before the kernel makes its buffer and a second for the slope:
+        # with one atom kept (q = 1e5) nothing is N-sized, and with nothing pruned (q = 1)
         # only the kernel's log weights (8 B/atom) are; a whole-array |f|,
         # mask, index or gather would exceed that, and so would the seed's
         # sample kernel kept alive through the solve.  One thread, whose
